@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.core.protocol import ProbabilitySchedule
 
@@ -34,6 +33,15 @@ def _wake_histogram(wake_rounds: Sequence[int], horizon: int) -> np.ndarray:
     inside = wake[wake <= horizon]
     np.add.at(histogram, inside, 1.0)
     return histogram
+
+
+def _linear_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences via the real FFT,
+    zero-padded past ``len(a) + len(b) - 1`` so nothing wraps around."""
+    size = a.size + b.size - 1
+    n_fft = 1 << (size - 1).bit_length()
+    spectrum = np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft)
+    return np.fft.irfft(spectrum, n_fft)[:size]
 
 
 def sigma_hat_trace(
@@ -52,8 +60,7 @@ def sigma_hat_trace(
     p = np.asarray(schedule.probabilities(horizon), dtype=float)
     # Full convolution with p[0] = p(1): a station woken at w contributes
     # p(t - w) = p[t - w - 1] to round t, which is exactly conv[t - 1].
-    conv = fftconvolve(histogram, p)
-    trace = conv[:horizon]
+    trace = _linear_convolution(histogram, p)[:horizon]
     # FFT round-off can produce tiny negatives.
     np.clip(trace, 0.0, None, out=trace)
     return trace

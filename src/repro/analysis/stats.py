@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -57,8 +58,8 @@ def proportion_ci(
         raise ValueError(f"trials must be > 0, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} out of range for {trials} trials")
-    # z for the two-sided confidence level (inverse normal CDF via erfinv).
-    z = math.sqrt(2.0) * _erfinv(confidence)
+    # z for the two-sided confidence level (inverse normal CDF).
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -72,12 +73,6 @@ def proportion_ci(
     if successes == trials:
         high = 1.0
     return (low, high)
-
-
-def _erfinv(x: float) -> float:
-    from scipy.special import erfinv
-
-    return float(erfinv(x))
 
 
 @dataclass(frozen=True, slots=True)

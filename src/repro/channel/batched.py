@@ -21,12 +21,16 @@ into one ``(rep, station)`` batch:
    the successes — fall out of a ``counts == 1`` mask;
 3. the acknowledgement-triggered switch-off (a success *removes the
    winner's future events*, which can turn a later collision into a new
-   singleton) is handled by an iterative fixpoint: recompute counts only
-   for repetitions whose switch-off set changed, until nothing changes.
-   Deaths are monotone (a station's estimated switch-off round only moves
-   earlier, and never before its true one), so the fixpoint converges to
-   exactly the sequential sweep's outcome; typical schedules settle in a
-   handful of passes.
+   singleton) is handled by a delta-counted fixpoint: after one counting
+   pass over the whole stream, each pass locates — through a
+   station-major view sorted once — only the events that the last pass's
+   new wins invalidated, decrements their rounds' attempt counts, and
+   takes the rounds left with one attempt as the next candidate
+   successes, until no win moves.  Work per pass is proportional to the
+   events removed, not to the stream.  Deaths are monotone (a station's
+   estimated switch-off round only moves earlier, and never before its
+   true one), so the fixpoint converges to exactly the sequential sweep's
+   outcome.
 
 Streaming execution
 -------------------
@@ -234,65 +238,102 @@ def _segment_singletons(
     return singles[~jammed[singles]]
 
 
+def _flat_ranges(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(l, l + n) for l, n in zip(lo, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(lo - offsets, lengths)
+
+
 def _ack_fixpoint(
-    win: np.ndarray,
-    s: np.ndarray,
-    g: np.ndarray,
-    gk: np.ndarray,
-    rep_of: np.ndarray,
-    jammed: np.ndarray,
-    n_reps: int,
-    k: int,
-) -> tuple[np.ndarray, int]:
+    win: np.ndarray, s: np.ndarray, g: np.ndarray, gk: np.ndarray,
+    dead: np.ndarray,
+) -> tuple[np.ndarray, int, int]:
     """Iterate the ack-switch-off fixpoint over one event (sub)stream.
 
-    ``win`` carries the frontier *in*: events whose station already won
-    at an earlier round (a previous window's converged result) are
-    invalid from the first pass, exactly as if the whole stream had been
-    swept at once.  A win at round t removes the winner's events after t,
-    which can create new singletons at later rounds of the same
-    repetition; deaths are monotone (estimates only move earlier and
-    never before the true switch-off), so iterating over the repetitions
-    whose death set changed reproduces the sequential sweep exactly.
-    Windowing is sound for the same reason: a win found in a later
-    window has a round past every earlier window's rounds, so it can
-    never invalidate an event — or create a singleton — in a window that
-    already converged.  Returns the advanced frontier and the pass count.
+    Every event passed in must be live (``g <= win[s]``): the round-window
+    caller drops the events of stations that won in an earlier window
+    before the call, exactly as if the whole stream were swept at once.
+    ``win`` is advanced in place.  A win at round t removes the winner's
+    events after t, which can create new singletons at later rounds of
+    the same repetition.
+
+    The fixpoint is delta-counted over ``(rep, round)`` segments, which
+    are numbered in stream order, so within one station segment order is
+    round order and a win is tracked as the segment it happened in.  One
+    whole-stream pass counts every segment's live events and yields the
+    initial singletons.  Each later pass visits only the events that the
+    previous pass's new wins invalidated: for a station whose win moved
+    from segment ``old`` to ``new``, its events in ``(new, old]``, found
+    by two ``searchsorted`` calls in a station-major view sorted once.
+    It decrements their segments' counts, and the segments that drop to
+    one event and are neither jammed nor faulted are the next candidate
+    singletons.  Work per pass is proportional to the events removed.
+    Deaths are monotone (estimates only move earlier and never before
+    the true switch-off), so the iterates are those of a full re-count
+    and the fixpoint is the sequential sweep's outcome.  Windowing is
+    sound for the same reason: a win found in a later window has a round
+    past every earlier window's rounds, so it can never invalidate an
+    event — or create a singleton — in a window that already converged.
+
+    Returns the frontier, the pass count (the final no-change pass and
+    the pass that observes it included) and the number of events the
+    passes after the first re-examined.
     """
-    # Events are sorted by repetition, so after the first whole-stream
-    # pass each iteration re-counts only the changed repetitions'
-    # contiguous event segments.
-    rep_bounds = np.searchsorted(rep_of, np.arange(n_reps + 1))
-    active_reps: Optional[np.ndarray] = None  # None = every repetition
+    n = int(g.size)
+    if n == 0:
+        return win, 2, 0
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(gk[1:], gk[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    n_seg = int(starts.size)
+    # Live events per segment, and the sum of their station ids: a
+    # segment left with one live event names its station by the sum.
+    live = np.diff(np.append(starts, n))
+    station_sum = np.add.reduceat(s, starts, dtype=np.int64)
+    seg_dead = dead[starts]
+    # Station-major view: (station, segment) composite keys, sorted.  The
+    # segment field holds ids up to n_seg + 1 (the "never won" bound).
+    seg_bits = (n_seg + 1).bit_length()
+    if (win.size - 1).bit_length() + seg_bits > 63:  # pragma: no cover
+        raise ValueError("station-major keys would overflow int64")
+    station_major = np.cumsum(first, dtype=np.int64)
+    station_major -= 1
+    station_major += np.left_shift(s, seg_bits, dtype=np.int64)
+    station_major.sort()
+    del first
+    seg_mask = (1 << seg_bits) - 1
+    # win_seg[station] = the segment of its win in this stream (n_seg =
+    # not yet).
+    win_seg = np.full(win.size, n_seg, dtype=np.int64)
+    candidates = np.flatnonzero((live == 1) & ~seg_dead)
+    examined = 0
     # Each productive pass strictly lowers at least one win estimate, and
     # every estimate is one of the event rounds, so the pass count is
     # bounded by the event count (plus the final no-change pass).
-    passes = 1
-    for passes in range(1, int(g.size) + 3):
-        if active_reps is None:
-            sl_s, sl_g, sl_gk, sl_j = s, g, gk, jammed
-        else:
-            if active_reps.size == 0:
-                break
-            idx = np.concatenate(
-                [
-                    np.arange(rep_bounds[r], rep_bounds[r + 1])
-                    for r in active_reps
-                ]
-            )
-            sl_s, sl_g, sl_gk, sl_j = s[idx], g[idx], gk[idx], jammed[idx]
-        valid = sl_g <= win[sl_s]
-        sv = sl_s[valid]
-        gv = sl_g[valid]
-        singles = _segment_singletons(sl_gk[valid], sl_j[valid])
-        new_win = win.copy()
-        np.minimum.at(new_win, sv[singles], gv[singles])
-        changed = np.flatnonzero(new_win != win)
-        win = new_win
-        active_reps = np.unique(changed // k)
+    for passes in range(2, n + 3):
+        # The one live event of each candidate segment wins it.
+        previous = win_seg.copy()
+        np.minimum.at(win_seg, station_sum[candidates], candidates)
+        moved = np.flatnonzero(win_seg != previous)
+        if moved.size == 0:
+            break
+        # A station whose win moved from segment old to new loses its
+        # events in segments (new, old].
+        base = moved << seg_bits
+        lo = np.searchsorted(station_major, base | (win_seg[moved] + 1))
+        hi = np.searchsorted(station_major, base | (previous[moved] + 1))
+        keys = station_major[_flat_ranges(lo, hi - lo)]
+        segs = keys & seg_mask
+        examined += int(segs.size)
+        np.subtract.at(live, segs, 1)
+        np.subtract.at(station_sum, segs, keys >> seg_bits)
+        candidates = segs[(live[segs] == 1) & ~seg_dead[segs]]
     else:  # pragma: no cover - deaths strictly decrease, so unreachable
         raise RuntimeError("batched ack fixpoint failed to converge")
-    return win, passes
+    won = np.flatnonzero(win_seg < n_seg)
+    win[won] = g[starts[win_seg[won]]]
+    return win, passes, examined
 
 
 def run_batch(
@@ -594,6 +635,7 @@ def _run_tile(
     # never).  Under ack semantics this is also its switch-off round.
     win = np.full(R * k, _INF, dtype=np.int64)
     passes = 1
+    examined = 0
     if not ack or stop is StopCondition.FIRST_SUCCESS:
         # Single counting pass.  Without switch-off feedback the live set
         # never changes; under FIRST_SUCCESS the run ends at the first
@@ -602,9 +644,9 @@ def _run_tile(
         singles = _segment_singletons(gk, ev_dead)
         np.minimum.at(win, s[singles], g[singles])
     else:
-        # The fixpoint's transient copies (valid mask, filtered slices,
-        # win snapshots) scale with the events it sweeps; bounding them is
-        # what horizon windows are for.  A window only ever *removes*
+        # The fixpoint's index (per-round counts, station-major keys)
+        # scales with the events it sweeps; bounding it is what horizon
+        # windows are for.  A window only ever *removes*
         # events at rounds past every earlier window, so sweeping windows
         # in ascending round order with the carried ``win`` frontier is
         # exact (see _ack_fixpoint).
@@ -612,9 +654,7 @@ def _run_tile(
         if tile_rounds is not None and tile_rounds < max_rounds:
             n_windows = (int(max_rounds) - 1) // tile_rounds + 1
         if n_windows <= 1 or key.size == 0:
-            win, passes = _ack_fixpoint(
-                win, s, g, gk, ev_rep, ev_dead, R, k
-            )
+            win, passes, examined = _ack_fixpoint(win, s, g, gk, ev_dead)
         else:
             # Stable sort on the window index keeps each window's events
             # in (rep, round) order, so segment keys stay contiguous.
@@ -626,17 +666,21 @@ def _run_tile(
                 idx = order[bounds[w] : bounds[w + 1]]
                 if idx.size == 0:
                     continue
-                win, w_passes = _ack_fixpoint(
-                    win, s[idx], g[idx], gk[idx], ev_rep[idx],
-                    ev_dead[idx], R, k,
+                # Events of stations that won in an earlier window are
+                # past their switch-off from the start.
+                idx = idx[g[idx] <= win[s[idx]]]
+                win, w_passes, w_examined = _ack_fixpoint(
+                    win, s[idx], g[idx], gk[idx], ev_dead[idx]
                 )
                 passes += w_passes
+                examined += w_examined
             passes = max(passes, 1)
             if phase:
                 telemetry.count("tile.windows", n_windows)
     if phase:
         phase.lap("batched.resolve")
         telemetry.count("batched.fixpoint_passes", passes)
+        telemetry.count("batched.fixpoint_events", examined)
 
     # --- stop conditions, per repetition --------------------------------
     fs = win.reshape(R, k)

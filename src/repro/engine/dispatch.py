@@ -410,6 +410,14 @@ def _count_compiled_capabilities(spec: RunSpec) -> None:
         telemetry.count("engine.select.compiled.cd")
 
 
+def _fused_base(spec: RunSpec) -> RunSpec:
+    """The spec a fused kernel runs: admissible traffic specs fuse through
+    their packet-level reduction (seed-independent by construction: the
+    capacity padding fixes k).  Only free-discipline traffic reduces, so
+    call this only once a kernel has admitted ``spec``."""
+    return traffic_reduction(spec) if spec.is_traffic_run else spec
+
+
 def execute_batch(
     spec: RunSpec, seeds: Sequence[int], engine: Optional[str] = None
 ) -> list[RunResult]:
@@ -442,15 +450,12 @@ def execute_batch(
         return [execute(spec.with_seed(s), engine) for s in seed_list]
     if engine not in ("auto", "vectorized", "compiled"):
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
-    # Admissible traffic specs fuse through their packet-level reduction
-    # (seed-independent by construction: the capacity padding fixes k).
-    base = traffic_reduction(spec) if spec.is_traffic_run else spec
     vec_reason = vectorized_inadmissibility(spec)
     if engine in ("auto", "vectorized") and vec_reason is None:
         telemetry.count("engine.batch_fused_runs", len(seed_list))
         if spec.faults is not None:
             telemetry.count("engine.select.vectorized.fault", len(seed_list))
-        return run_batch(base, seeds=seed_list)
+        return run_batch(_fused_base(spec), seeds=seed_list)
     if engine == "vectorized":
         raise EngineSelectionError(
             f"spec is not vectorised-admissible: {vec_reason}"
@@ -458,6 +463,7 @@ def execute_batch(
     comp_reason = compiled_inadmissibility(spec)
     if comp_reason is None:
         telemetry.count("engine.batch_fused_runs", len(seed_list))
+        base = _fused_base(spec)
         _count_compiled_capabilities(base)
         return run_compiled_batch(base, seeds=seed_list)
     if engine == "compiled":

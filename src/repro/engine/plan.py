@@ -100,10 +100,11 @@ COMPILED_STATION_BYTES = 1024
 ADAPTIVE_LANE_BYTES = 64
 
 #: Measured safety factor between the model's estimate and the kernel's
-#: actual peak working set (sort scratch, fixpoint ``valid`` masks and
-#: ``win`` copies, materialisation temporaries).  Calibrated against the
-#: ``tile.working_set_bytes.peak`` gauge on the k=64 and k=1024
-#: acceptance configurations; the estimate stays above the measurement.
+#: actual peak working set (sort scratch, the ack fixpoint's per-round
+#: counts and station-major keys, materialisation temporaries).
+#: Calibrated against the ``tile.working_set_bytes.peak`` gauge on the
+#: k=64 and k=1024 acceptance configurations; the estimate stays above
+#: the measurement.
 SAFETY_FACTOR = 2.0
 
 #: Process-wide tiling defaults, set by the CLI's ``--memory-budget`` /

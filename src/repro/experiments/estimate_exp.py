@@ -61,7 +61,10 @@ def run_estimate_robustness(
         for r in range(reps):
             result = execute(base.with_seed(seed + r))
             delivered.append(result.success_count)
-            if result.completed:
+            # A run counts as solved only when every station succeeded:
+            # under a bad estimate the stations can exhaust their ladders
+            # and switch off unsolved, which still completes the run.
+            if result.success_count == k:
                 latencies.append(result.max_latency)
                 energies.append(result.total_transmissions)
             else:

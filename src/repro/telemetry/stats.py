@@ -162,6 +162,23 @@ def render_stats(directory: str | Path, *, top: int = 15) -> str:
             "## Metrics\n" + render_table(["metric", "type", "value"], rows)
         )
 
+    counters = metrics["counters"]
+    batches = counters.get("repro_batched_batches", 0.0)
+    if batches and "repro_batched_fixpoint_events" in counters:
+        events = counters.get("repro_batched_events", 0.0)
+        reexamined = counters["repro_batched_fixpoint_events"]
+        sections.append(
+            "## Batched ack fixpoint\n"
+            + render_table(
+                ["passes/batch", "re-examined events/batch", "share of events"],
+                [[
+                    counters.get("repro_batched_fixpoint_passes", 0.0) / batches,
+                    reexamined / batches,
+                    reexamined / events if events else math.nan,
+                ]],
+            )
+        )
+
     hist_rows = []
     for name, agg in sorted(metrics["histograms"].items()):
         hist_count = agg.get("count", 0.0)

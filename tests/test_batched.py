@@ -133,6 +133,66 @@ def test_batched_matches_seed_stride_layout():
     assert [r.seed for r in implicit] == [4242 + r for r in range(5)]
 
 
+class TestDeepAckChains:
+    """Long ack-switch-off chains: ``SublinearDecrease`` at k=256 needs
+    well over a dozen fixpoint passes, each new win exposing singletons
+    that only the next pass can see.  Byte identity with the sequential
+    engine is checked at every round-window size, and the pass counts are
+    pinned: the delta-counted fixpoint must take exactly the iterates of
+    a full per-pass re-count (the counter includes the final no-change
+    pass)."""
+
+    K = 256
+    SEEDS = list(range(1000, 1016))
+    #: (variant, tile_rounds) -> batched.fixpoint_passes for SEEDS.
+    PINNED_PASSES = {
+        ("plain", None): 26, ("plain", 37): 547, ("plain", 500): 77,
+        ("jammed", None): 16, ("jammed", 37): 541, ("jammed", 500): 66,
+        ("faulted", None): 19, ("faulted", 37): 541, ("faulted", 500): 73,
+    }
+
+    def spec(self, variant: str) -> RunSpec:
+        from repro.core.protocols import SublinearDecrease
+        from repro.faults import fault_model
+
+        k = self.K
+        spec = RunSpec(
+            k, SublinearDecrease(4), UniformRandomSchedule(2 * k),
+            max_rounds=30 * k,
+        )
+        if variant == "jammed":
+            return spec.replace(jam_rounds=tuple(range(5, 30 * k + 1, 5)))
+        if variant == "faulted":
+            return spec.replace(faults=fault_model(noise=0.05, ack_loss=0.05))
+        return spec
+
+    @pytest.mark.parametrize("variant", ["plain", "jammed", "faulted"])
+    def test_byte_identical_and_pinned_passes_at_every_window(self, variant):
+        from repro.telemetry import registry as telemetry
+
+        spec = self.spec(variant)
+        sequential = [
+            canonical(execute(spec.with_seed(s), engine="vectorized"))
+            for s in self.SEEDS
+        ]
+        telemetry.enable()
+        try:
+            for tile_rounds in (None, 37, 500):
+                before = telemetry.snapshot()["counters"].get(
+                    "batched.fixpoint_passes", 0
+                )
+                batch = run_batch(spec, seeds=self.SEEDS, tile_rounds=tile_rounds)
+                passes = (
+                    telemetry.snapshot()["counters"]["batched.fixpoint_passes"]
+                    - before
+                )
+                assert [canonical(b) for b in batch] == sequential, tile_rounds
+                assert passes == self.PINNED_PASSES[variant, tile_rounds]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
+
 def test_run_batch_argument_errors():
     spec = RunSpec(
         k=4, protocol=NonAdaptiveWithK(4, 6), adversary=UniformRandomSchedule()
@@ -334,6 +394,27 @@ class TestExecuteBatchDispatch:
         fallback = execute_batch(spec, seeds)
         expected = [execute(spec.with_seed(s), engine="object") for s in seeds]
         assert [canonical(f) for f in fallback] == [canonical(e) for e in expected]
+
+    def test_fifo_traffic_falls_back_per_run(self):
+        from repro.adversary.oblivious import PoissonArrivals
+
+        # Only free-discipline traffic reduces to the classic model; a
+        # fifo spec must fall back to per-run execution, not fail while
+        # the fused path reduces it.
+        spec = RunSpec(
+            k=4,
+            protocol=NonAdaptiveWithK(4, 6),
+            arrivals=PoissonArrivals(0.05),
+            queue_discipline="fifo",
+            max_rounds=300,
+        )
+        seeds = [61, 62, 63]
+        fallback = execute_batch(spec, seeds)
+        expected = [execute(spec.with_seed(s)) for s in seeds]
+        assert [canonical(f) for f in fallback] == [canonical(e) for e in expected]
+        for engine in ("vectorized", "compiled"):
+            with pytest.raises(EngineSelectionError, match="fifo"):
+                execute_batch(spec, seeds, engine=engine)
 
     def test_scheduled_jammer_falls_back_and_agrees_with_object_engine(self):
         from repro.channel.jamming import ScheduledJammer

@@ -7,10 +7,13 @@ human can read.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, ExperimentReport, run_experiment
 from repro.experiments.harness import worst_sample
+from repro.experiments.suite import SCALES
 from repro.analysis.metrics import MetricSample
 
 
@@ -201,6 +204,21 @@ class TestExtensionExperiments:
             "estimate_robustness", k=32, factors=(0.5, 1.0, 2.0), reps=2
         )
         assert {r["k_hat_over_k"] for r in report.rows} == {0.5, 1.0, 2.0}
+
+    def test_estimate_quick_scale_reports_unsolved_runs_as_failures(self):
+        # At k_hat = k/16 every station exhausts its ladder and switches
+        # off unsolved: the run completes, but it must count as a failure
+        # rather than feed a missing latency into the mean.
+        report = run_experiment(
+            "estimate_robustness", **SCALES["quick"]["estimate_robustness"]
+        )
+        worst = next(r for r in report.rows if r["k_hat_over_k"] == 0.0625)
+        assert worst["delivered_fraction"] < 1.0
+        assert worst["failures"] == worst["runs"]
+        assert math.isnan(worst["latency"])
+        for row in report.rows:
+            if row["failures"] < row["runs"]:
+                assert row["latency"] > 0
 
     def test_adaptive_adversary_check_small(self):
         report = run_experiment("adaptive_adversary_check", k=24, reps=1)

@@ -300,6 +300,25 @@ class TestStats:
         assert "batched.resolve" in text
         assert "## Top spans" in text
 
+    def test_fixpoint_counters_render(self, tmp_path):
+        from repro.adversary.oblivious import UniformRandomSchedule
+        from repro.channel.batched import run_batch
+        from repro.core.protocols import SublinearDecrease
+        from repro.core.spec import RunSpec
+
+        telemetry.enable()
+        spec = RunSpec(
+            32, SublinearDecrease(4), UniformRandomSchedule(64), max_rounds=960
+        )
+        run_batch(spec, seeds=[1, 2, 3, 4])
+        counters = telemetry.snapshot()["counters"]
+        assert counters["batched.fixpoint_passes"] >= 3
+        assert 0 < counters["batched.fixpoint_events"] <= counters["batched.events"]
+        tel_export.export_to_dir(tmp_path)
+        text = render_stats(tmp_path)
+        assert "## Batched ack fixpoint" in text
+        assert "re-examined events/batch" in text
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             render_stats(tmp_path / "nope")
