@@ -2,11 +2,12 @@
 
 Not a paper artefact — infrastructure health, and the anchor of the perf
 trajectory (``scripts/bench_trajectory.py`` turns these medians into
-``BENCH_engines.json``).  The batched kernel's reason to exist is a large
-multiple over running the vectorised engine once per repetition; both
-sides below execute the *same* repetitions of the same configuration
-(identical seeds, byte-identical results — see ``tests/test_batched.py``),
-so the ratio of their medians is the batching speedup and nothing else.
+``BENCH_engines.json``).  Both sides below execute the *same* repetitions
+of the same configuration (identical seeds, byte-identical results), and
+a single vectorised run is itself a one-seed call of the same kernel, so
+the ratio of their medians is what fusing R repetitions saves over R
+per-run calls: dispatch, planning, table lookup, generator construction
+and small-array numpy overhead — the batching speedup and nothing else.
 
 ``REPRO_BENCH_REPS`` scales the repetition count (default 1000 — the
 ISSUE's acceptance configuration; CI uses a smaller value).

@@ -3,18 +3,16 @@
 Every experiment in this repository is a Monte Carlo estimate —
 ``repeat_schedule_runs`` / ``sweep_schedule`` execute hundreds to
 thousands of statistically independent repetitions of the same
-:class:`~repro.core.spec.RunSpec`.  The single-run
-:class:`~repro.channel.vectorized.VectorizedSimulator` already samples
-each station's transmission set in one shot, but still pays per-run
-overhead: its own construction, its own hazard-table slice, and — the
-actual hot path — a pure-Python ``while`` sweep over every transmission
-event to resolve collisions.  :func:`run_batch` fuses all R repetitions
-into one ``(rep, station)`` batch:
+:class:`~repro.core.spec.RunSpec`.  :func:`run_batch` is the one engine
+for vectorised-admissible specs: it fuses all R repetitions into one
+``(rep, station)`` batch, and a single run is simply a batch of one
+(:class:`~repro.channel.vectorized.VectorizedSimulator` is that facade):
 
 1. wake schedules and Poisson transmission points are drawn per
    repetition from that repetition's own seeded generators (the draw
-   sequence is *exactly* the sequential engine's, which is what makes the
-   results byte-identical), then concatenated into flat batch arrays;
+   sequence is *exactly* a sequential per-run sampler's, which is what
+   makes the results byte-identical), then concatenated into flat batch
+   arrays;
 2. collisions are resolved for the whole batch at once with array-segment
    reductions: events are sorted by ``(rep, global_round)``, per-round
    attempt counts come from run-length boundaries, and singleton rounds —
@@ -54,14 +52,14 @@ Exactness contract
 ------------------
 
 ``run_batch(spec, seeds=[s0, ..., s(R-1)])`` returns ``RunResult``s
-byte-identical to ``[execute(spec.with_seed(s)) for s in seeds]`` on the
-vectorised engine — same wake draws, same transmission samples, same
-records, metrics, completion flags and stop rounds, **at any tile
-size**.  The property suites ``tests/test_batched.py`` and
-``tests/test_plan.py`` fuzz this equality across the cross-engine config
-space (stochastic and deterministic schedules, jamming, the no-ack
-switch-off variant, every stop condition) and across random
-tile-rep/round-window sizes.
+byte-identical to ``[run_batch(spec, seeds=[s]) for s in seeds]`` — same
+wake draws, same transmission samples, same records, metrics, completion
+flags and stop rounds, **at any tile size**.  ``tests/test_batched.py``
+fuzzes the kernel against an independent sequential resolver (the same
+per-repetition draws, then a per-round sweep) across the cross-engine
+config space (stochastic and deterministic schedules, jamming, faults,
+the no-ack switch-off variant, every stop condition), and
+``tests/test_plan.py`` across random tile-rep/round-window sizes.
 
 Admissibility is the vectorised engine's: non-adaptive schedule,
 oblivious wake adversary, no stateful jammer, no trace, ACK feedback.
@@ -79,7 +77,11 @@ import numpy as np
 from repro.adversary.base import WakeSchedule
 from repro.channel.feedback import FeedbackModel
 from repro.channel.results import RunResult, StopCondition
-from repro.channel.vectorized import check_prob_table, sample_station_events
+from repro.channel.vectorized import (
+    ScheduleTables,
+    check_prob_table,
+    sample_station_events,
+)
 from repro.core.protocol import ProbabilitySchedule
 from repro.core.spec import RunSpec
 from repro.core.station import StationRecord
@@ -92,8 +94,8 @@ _INF = np.iinfo(np.int64).max
 
 
 def _resolve_seeds(
-    spec: RunSpec, n_reps: Optional[int], seeds: Optional[Sequence[int]]
-) -> list[int]:
+    spec: RunSpec, n_reps: Optional[int], seeds: Optional[Sequence[Optional[int]]]
+) -> list[Optional[int]]:
     if seeds is None:
         if n_reps is None:
             raise ValueError("run_batch needs n_reps or an explicit seed list")
@@ -103,7 +105,7 @@ def _resolve_seeds(
                 "set spec.seed or pass seeds explicitly"
             )
         return [spec.seed + r for r in range(n_reps)]
-    seed_list = [int(s) for s in seeds]
+    seed_list = [None if s is None else int(s) for s in seeds]
     if n_reps is not None and n_reps != len(seed_list):
         raise ValueError(
             f"n_reps={n_reps} disagrees with len(seeds)={len(seed_list)}"
@@ -111,14 +113,16 @@ def _resolve_seeds(
     return seed_list
 
 
-def _rep_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The sequential engine's (adversary, station) generator pair.
+def _rep_generators(
+    seed: Optional[int],
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """One repetition's (adversary, station) generator pair.
 
-    :class:`~repro.util.rng.RngFactory` hands these out as two successive
-    ``spawn(1)`` children of ``SeedSequence(seed)``; one ``spawn(2)`` call
-    yields the same two children (spawn keys ``(0,)`` and ``(1,)``) with
-    half the per-repetition SeedSequence overhead, keeping the streams —
-    and therefore the batch results — byte-identical.
+    The two ``spawn(2)`` children of ``SeedSequence(seed)`` (spawn keys
+    ``(0,)`` and ``(1,)``) — the same streams
+    :class:`~repro.util.rng.RngFactory` hands out as two successive
+    ``spawn(1)`` children, so journals written by the historical per-run
+    engine replay byte-identically.  ``seed=None`` draws OS entropy.
     """
     adversary_child, station_child = np.random.SeedSequence(seed).spawn(2)
     return (
@@ -352,7 +356,8 @@ def run_batch(
         n_reps: repetition count; seeds default to ``spec.seed + r``
             (the harness's repetition layout).
         seeds: explicit per-repetition seeds (overrides ``n_reps``-derived
-            ones; both may be given if consistent).
+            ones; both may be given if consistent).  A None seed runs on
+            fresh OS entropy and its result reports ``seed=None``.
         tile_reps: repetitions per streaming tile (None = the process
             default, else derived from the memory budget, else all).
         tile_rounds: rounds per resolution window inside a tile (None =
@@ -363,8 +368,7 @@ def run_batch(
 
     Returns:
         One :class:`RunResult` per seed, in order, byte-identical to
-        sequential ``execute(spec.with_seed(seed))`` calls — for every
-        tile size.
+        one ``run_batch`` call per seed — for every tile size.
 
     Raises:
         BatchMemoryError: the budget admits no tile, or a kernel
@@ -395,14 +399,14 @@ def run_batch(
         telemetry.count("batched.reps", R)
         telemetry.observe("batched.batch_reps", R)
 
-    # One shared probability/hazard table for every tile (the PR-3 LRU);
-    # each repetition slices the prefix its own wake draw allows.
-    from repro.engine.cache import cumulative_hazard, probability_table
+    # One shared probability/hazard table entry for every tile, from one
+    # cache lookup; each repetition slices the prefix its own wake draw
+    # allows.
+    from repro.engine.cache import schedule_tables
 
     max_rounds = spec.resolve_horizon()
-    full_table = probability_table(spec.schedule, max_rounds)
-    check_prob_table(spec.schedule, full_table, max_rounds)
-    full_cum = cumulative_hazard(spec.schedule, max_rounds)
+    tables = schedule_tables(spec.schedule, max_rounds)
+    check_prob_table(spec.schedule, tables.probabilities, max_rounds)
 
     results: list[RunResult] = []
     for lo, hi in plan.rep_slices():
@@ -413,7 +417,7 @@ def run_batch(
             try:
                 results.extend(
                     _run_tile(
-                        spec, seed_list[lo:hi], full_cum, plan.tile_rounds
+                        spec, seed_list[lo:hi], tables, plan.tile_rounds
                     )
                 )
             except BatchMemoryError:
@@ -427,8 +431,8 @@ def run_batch(
 
 def _run_tile(
     spec: RunSpec,
-    seed_list: list[int],
-    full_cum: np.ndarray,
+    seed_list: list[Optional[int]],
+    tables: ScheduleTables,
     tile_rounds: Optional[int],
 ) -> list[RunResult]:
     """One rep tile: the full kernel over ``seed_list``'s repetitions.
@@ -474,7 +478,7 @@ def _run_tile(
                 max_local = min(max_local, sched_horizon)
             max_local = max(max_local, 1)
             stations, local_rounds = sample_station_events(
-                station_rng, schedule, k, full_cum[:max_local], max_local
+                station_rng, schedule, k, tables, max_local
             )
             wake_all[r] = wake
             station_parts.append(stations + np.int64(r) * k)
@@ -489,7 +493,9 @@ def _run_tile(
             if global_parts
             else np.empty(0, dtype=np.int64)
         )
+        del station_parts, global_parts
     else:
+        full_cum = tables.hazard
         counts_all = np.zeros((R, k), dtype=np.int64)
         flat_parts: list[np.ndarray] = []
         for r, seed in enumerate(seed_list):
@@ -506,7 +512,7 @@ def _run_tile(
             wake_all[r] = wake
             total = float(full_cum[max_local - 1])
             if total <= 0.0:
-                continue  # no transmissions: the sequential path draws nothing
+                continue  # no transmissions: sample_station_events draws nothing
             counts = station_rng.poisson(total, size=k)
             counts_all[r] = counts
             flat_parts.append(
@@ -520,6 +526,7 @@ def _run_tile(
             if flat_parts
             else np.empty(0, dtype=float)
         )
+        del flat_parts
         local = _map_points_to_rounds(full_cum, flat)
         local += 1
         ev_station = None  # assembled straight into keys below
@@ -551,6 +558,10 @@ def _run_tile(
             ((ev_station // k) << np.int64(sp)) + ev_global
         ) << np.int64(kp) | (ev_station % k)
         key = key.astype(key_dtype, copy=False)
+        # The draw arrays are dead once keyed; freeing them here keeps
+        # them out of the sort/resolve peak.
+        draw_bytes = ev_station.nbytes + ev_global.nbytes
+        del ev_station, ev_global
     else:
         # Poisson-path events: the key decomposes into a per-(rep,
         # station) base — ((rep << sp) + wake) << kp | station — plus
@@ -565,6 +576,8 @@ def _run_tile(
         local = local.astype(key_dtype, copy=False)
         local <<= kp
         key += local
+        draw_bytes = flat.nbytes + local.nbytes + counts_all.nbytes
+        del flat, local, counts_all
     # One sort both orders the sweep and puts duplicate (station, round)
     # samples side by side for the dedup mask (the direct path
     # pre-dedupes; the mask is then a no-op).  Past-horizon events are
@@ -614,10 +627,6 @@ def _run_tile(
     if phase:
         phase.lap("batched.sort")
         telemetry.count("batched.events", int(key.size))
-        if ev_station is not None:
-            draw_bytes = ev_station.nbytes + ev_global.nbytes
-        else:
-            draw_bytes = flat.nbytes + local.nbytes + counts_all.nbytes
         telemetry.gauge_max(
             "tile.working_set_bytes.peak",
             key.nbytes

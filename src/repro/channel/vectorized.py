@@ -3,11 +3,12 @@
 Non-adaptive protocols transmit in local round ``i`` with a probability
 ``p(i)`` that is a pure function of ``i`` and independent across rounds
 (the uniform schedules of Sections 3 and 4).  Simulating round-by-round
-costs O(rounds x stations); this engine instead samples each station's
+costs O(rounds x stations); this module instead samples each station's
 *entire set of transmission rounds* directly, in expected O(s(H)) samples
-per station (``s(H)`` = expected number of transmissions), then resolves
-collisions with a single sweep over rounds that actually contain a
-transmission.
+per station (``s(H)`` = expected number of transmissions).  Collisions
+and the ack switch-off are then resolved by the array kernel in
+:mod:`repro.channel.batched`; :class:`VectorizedSimulator` is its
+single-run facade.
 
 Exactness.  Independent per-round Bernoulli(p_i) transmissions are
 distributionally identical to "at least one point of a unit-rate Poisson
@@ -34,12 +35,11 @@ import numpy as np
 from repro.adversary.base import WakeSchedule
 from repro.channel.results import RunResult, StopCondition
 from repro.core.protocol import ProbabilitySchedule
-from repro.core.station import StationRecord
-from repro.telemetry import registry as telemetry
-from repro.util.rng import RngFactory
+from repro.core.spec import RunSpec
 
 __all__ = [
     "VectorizedSimulator",
+    "ScheduleTables",
     "hazard_table",
     "check_prob_table",
     "dedup_station_events",
@@ -64,12 +64,52 @@ def hazard_table(probabilities: np.ndarray) -> np.ndarray:
     return np.cumsum(lam)
 
 
+class ScheduleTables:
+    """A schedule's read-only probability table over a horizon, and its
+    cumulative hazard, materialised on first use and then kept: direct
+    samplers never need it, and fingerprint-only fetches should not pay
+    its memory.  :attr:`hazard_total` (what the tile planner reads) never
+    keeps the array."""
+
+    __slots__ = ("probabilities", "_hazard", "_total")
+
+    def __init__(self, probabilities: np.ndarray):
+        probabilities.setflags(write=False)
+        self.probabilities = probabilities
+        self._hazard: Optional[np.ndarray] = None
+        self._total: Optional[float] = None
+
+    @property
+    def has_hazard(self) -> bool:
+        """Whether the hazard array has been materialised."""
+        return self._hazard is not None
+
+    @property
+    def hazard(self) -> np.ndarray:
+        """``hazard_table(probabilities)``, computed once."""
+        if self._hazard is None:
+            hazard = hazard_table(self.probabilities)
+            hazard.setflags(write=False)
+            self._hazard = hazard
+        return self._hazard
+
+    @property
+    def hazard_total(self) -> float:
+        """The last cumulative-hazard value (0.0 for an empty table)."""
+        if self._total is None:
+            hazard = self._hazard
+            if hazard is None:
+                hazard = hazard_table(self.probabilities)
+            self._total = float(hazard[-1]) if hazard.size else 0.0
+        return self._total
+
+
 def check_prob_table(
     schedule: ProbabilitySchedule, p: np.ndarray, max_local: int
 ) -> None:
-    """Spot-check a supplied probability table against the live schedule.
+    """Spot-check a cached probability table against the live schedule.
 
-    Guards the cache-passing API: a table built from a different schedule
+    Guards the table cache: a table built from a different schedule
     silently poisons every result, so a few entries are compared against
     the live schedule.  Probe indices are deduplicated: at ``max_local == 1``
     the naive triple ``(1, max_local // 2 or 1, max_local)`` would check
@@ -83,7 +123,7 @@ def check_prob_table(
             expected = min(1.0, max(0.0, schedule.probability(i)))
         if abs(p[i - 1] - expected) > 1e-9:
             raise ValueError(
-                f"prob_table disagrees with {schedule.name} at "
+                f"probability table disagrees with {schedule.name} at "
                 f"local round {i}: table {p[i - 1]!r} vs schedule "
                 f"{expected!r}"
             )
@@ -112,18 +152,19 @@ def sample_station_events(
     rng: np.random.Generator,
     schedule: ProbabilitySchedule,
     k: int,
-    cumulative_hazard: np.ndarray,
+    tables: ScheduleTables,
     max_local: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the flat ``(stations, local_rounds)`` event stream for ``k``
-    stations (ignoring switch-off, which is applied during the sweep).
+    stations (ignoring switch-off, which the kernel's resolution applies).
 
     Schedules with dependent rounds provide their own sampler via
     :meth:`ProbabilitySchedule.sample_rounds`; independent-Bernoulli
-    schedules go through the exact Poisson-thinning path.  Both the RNG
+    schedules go through the exact Poisson-thinning path over the first
+    ``max_local`` rounds of ``tables.hazard``, which is only read then.  Both the RNG
     draw order and the returned event order match the historical
     per-station loop exactly, so results are byte-identical per seed; the
-    batched engine (:mod:`repro.channel.batched`) reuses this helper with
+    batched kernel (:mod:`repro.channel.batched`) calls this helper with
     one per-repetition generator each.
     """
     probe = schedule.sample_rounds(rng, max_local)
@@ -141,6 +182,7 @@ def sample_station_events(
         lengths = np.fromiter((len(part) for part in parts), np.int64, count=k)
         stations = np.repeat(np.arange(k, dtype=np.int64), lengths)
         return dedup_station_events(stations, rounds, max_local)
+    cumulative_hazard = tables.hazard[:max_local]
     total = float(cumulative_hazard[-1]) if cumulative_hazard.size else 0.0
     if total <= 0.0:
         empty = np.empty(0, dtype=np.int64)
@@ -156,7 +198,14 @@ def sample_station_events(
 
 
 class VectorizedSimulator:
-    """Simulate a non-adaptive probability schedule for all ``k`` stations.
+    """Single-run facade over :func:`~repro.channel.batched.run_batch`.
+
+    The batch kernel with one repetition *is* the single-run semantics
+    (per-repetition draws never cross repetitions), so :meth:`run` is
+    ``run_batch(spec, seeds=[seed])[0]`` on a spec built once from the
+    constructor arguments — exactly as
+    :class:`~repro.channel.compiled.CompiledSimulator` fronts the compiled
+    stepper.
 
     Args:
         k: number of contending stations.
@@ -166,26 +215,23 @@ class VectorizedSimulator:
             object engine — they react to history, which the batch sampling
             here deliberately does not expose).
         switch_off_on_ack: True for the paper's default semantics; False for
-            the no-acknowledgement variant of Theorem 4.? where stations keep
-            transmitting after success.
+            the no-acknowledgement variant where stations keep transmitting
+            after success.
         stop: completion criterion (see :class:`StopCondition`).
         max_rounds: global-round horizon.  Must be finite; pick it from the
             protocol's theoretical bound with slack.
-        seed: base seed.
-        prob_table: optional precomputed ``schedule.probabilities(max_rounds)``
-            (the harness caches it across repetitions).
+        seed: base seed (None = fresh OS entropy; the result reports None).
         jam_rounds: optional iterable of global rounds destroyed by an
             oblivious jammer (see :func:`repro.channel.jamming.draw_jam_rounds`);
             a jammed round can carry no success, but attempts in it still
             cost energy.
         faults: optional :class:`~repro.faults.FaultModel`.  Oblivious
-            noise and ack loss lower onto this engine exactly: under
-            schedule semantics a corrupted success and a dropped ack are
-            observationally identical (the would-be winner keeps
-            following its schedule, no ack, no switch-off), so fault
-            rounds are treated like jammed rounds in the singleton
-            sweep.  Energy budgets mutate per-station liveness
-            mid-protocol and are rejected here (object engine only).
+            noise and ack loss lower exactly: under schedule semantics a
+            corrupted success and a dropped ack are observationally
+            identical (the would-be winner keeps following its schedule),
+            so fault rounds resolve like jammed rounds.  Energy budgets
+            mutate per-station liveness mid-protocol and are rejected here
+            (object engine only).
     """
 
     def __init__(
@@ -198,7 +244,6 @@ class VectorizedSimulator:
         stop: StopCondition = StopCondition.ALL_SWITCHED_OFF,
         max_rounds: int = 100_000,
         seed: Optional[int] = None,
-        prob_table: Optional[np.ndarray] = None,
         jam_rounds=None,
         faults=None,
     ):
@@ -216,183 +261,21 @@ class VectorizedSimulator:
                 "VectorizedSimulator does not model energy budgets; "
                 "use SlotSimulator for EnergyBudget faults"
             )
-        self.k = k
-        self.schedule = schedule
-        self.adversary = adversary
-        self.switch_off_on_ack = switch_off_on_ack
-        self.stop = stop
-        self.max_rounds = max_rounds
-        self.seed = seed
-        self._prob_table = prob_table
-        self._jam_rounds = (
-            frozenset(int(r) for r in jam_rounds) if jam_rounds is not None else None
+        self.spec = RunSpec(
+            k,
+            schedule,
+            adversary,
+            stop=stop,
+            switch_off_on_ack=switch_off_on_ack,
+            max_rounds=max_rounds,
+            jam_rounds=jam_rounds,
+            faults=faults,
+            seed=seed,
         )
-        self.faults = faults
 
     def run(self) -> RunResult:
-        phase = telemetry.timer()
-        rng_factory = RngFactory(self.seed)
-        adversary_rng = rng_factory.next_generator()
-        station_rng = rng_factory.next_generator()
+        # Imported here: the batched kernel imports this module's samplers.
+        from repro.channel.batched import run_batch
 
-        wake = np.asarray(
-            self.adversary.wake_rounds(self.k, adversary_rng), dtype=np.int64
-        )
-        if wake.shape != (self.k,):
-            raise ValueError("adversary produced a malformed wake schedule")
-
-        horizon = self.schedule.horizon()
-        # Longest local clock any station can run within the global horizon.
-        max_local = int(self.max_rounds - wake.min())
-        if horizon is not None:
-            max_local = min(max_local, horizon)
-        max_local = max(max_local, 1)
-
-        if self._prob_table is not None and len(self._prob_table) >= max_local:
-            p = np.asarray(self._prob_table[:max_local], dtype=float)
-            check_prob_table(self.schedule, p, max_local)
-        else:
-            p = self.schedule.probabilities(max_local)
-        cum_hazard = hazard_table(p)
-
-        # The flat (station, local_round) event stream, station-major.
-        stations_flat, local_flat = sample_station_events(
-            station_rng, self.schedule, self.k, cum_hazard, max_local
-        )
-        globals_flat = local_flat + wake[stations_flat]
-        keep = globals_flat <= self.max_rounds
-        stations_flat = stations_flat[keep]
-        globals_flat = globals_flat[keep]
-        order = np.argsort(globals_flat, kind="stable")
-        stations_flat = stations_flat[order]
-        globals_flat = globals_flat[order]
-        if phase:
-            phase.lap("vectorized.sample")
-
-        fault_set: frozenset = frozenset()
-        noise_set: frozenset = frozenset()
-        slots_corrupted = 0
-        acks_dropped = 0
-        if self.faults is not None:
-            with telemetry.span("fault.plan"):
-                fault_plan = self.faults.plan(self.seed, self.max_rounds)
-            fault_set = fault_plan.fault_set
-            noise_set = fault_plan.noise_set
-
-        first_success = np.full(self.k, -1, dtype=np.int64)
-        alive = np.ones(self.k, dtype=bool)
-        attempts = np.zeros(self.k, dtype=np.int64)
-        successes = 0
-        rounds_executed = 0
-        completed = False
-
-        def stop_now(successes: int) -> bool:
-            if self.stop is StopCondition.FIRST_SUCCESS:
-                return successes >= 1
-            return successes >= self.k
-
-        # Stopping early on the success count is only sound when success
-        # implies switch-off (ack semantics) or the criterion *is* the
-        # success count.  Under ALL_SWITCHED_OFF without acks a station
-        # keeps transmitting (and burning energy) until its schedule
-        # horizon runs out — exactly like the object engine — so the sweep
-        # must consume every event.
-        early_stop = self.stop is not StopCondition.ALL_SWITCHED_OFF or (
-            self.switch_off_on_ack
-        )
-
-        n = len(globals_flat)
-        idx = 0
-        while idx < n:
-            t = globals_flat[idx]
-            end = idx
-            while end < n and globals_flat[end] == t:
-                end += 1
-            group = stations_flat[idx:end]
-            idx = end
-            live = group[alive[group]]
-            attempts[live] += 1
-            ti = int(t)
-            jammed = self._jam_rounds is not None and ti in self._jam_rounds
-            faulted = ti in fault_set
-            if live.size == 1 and not jammed and faulted:
-                # A would-be success suppressed by a fault: attribute it
-                # (noise wins over ack loss, as in the object engine).
-                if ti in noise_set:
-                    slots_corrupted += 1
-                else:
-                    acks_dropped += 1
-            if live.size == 1 and not jammed and not faulted:
-                winner = int(live[0])
-                if first_success[winner] < 0:
-                    first_success[winner] = t
-                    successes += 1
-                if self.switch_off_on_ack:
-                    alive[winner] = False
-                rounds_executed = int(t)
-                if early_stop and stop_now(successes):
-                    completed = True
-                    break
-            rounds_executed = int(t)
-        if phase:
-            phase.lap("vectorized.sweep")
-            telemetry.count("vectorized.runs")
-            telemetry.count("vectorized.events", n)
-        if self.faults is not None and telemetry.enabled():
-            telemetry.count("fault.runs")
-            telemetry.count("fault.slots_corrupted", slots_corrupted)
-            telemetry.count("fault.acks_dropped", acks_dropped)
-
-        if not completed:
-            rounds_executed = self.max_rounds
-            if self.stop is StopCondition.ALL_SWITCHED_OFF:
-                # A station switches off on its ack (ack semantics) or one
-                # round past its schedule horizon (ScheduleProtocol switches
-                # off at local round ``horizon + 1``); with neither, it never
-                # does and the run cannot complete — matching SlotSimulator.
-                off_rounds: Optional[list[int]] = []
-                for i in range(self.k):
-                    if self.switch_off_on_ack and first_success[i] >= 0:
-                        off_rounds.append(int(first_success[i]))
-                    elif horizon is not None:
-                        off_rounds.append(int(wake[i]) + horizon + 1)
-                    else:
-                        off_rounds = None
-                        break
-                if off_rounds is not None and max(off_rounds) <= self.max_rounds:
-                    completed = True
-                    rounds_executed = max(off_rounds)
-
-        records = []
-        for i in range(self.k):
-            success_round = int(first_success[i]) if first_success[i] >= 0 else None
-            if self.switch_off_on_ack and success_round is not None:
-                switch_off = success_round
-            elif horizon is not None:
-                # ScheduleProtocol switches off when it first *sees* local
-                # round horizon + 1; the run must last that long for the
-                # switch-off to be observed.
-                off = int(wake[i]) + horizon + 1
-                switch_off = off if off <= rounds_executed else None
-            else:
-                switch_off = None
-            records.append(
-                StationRecord(
-                    station_id=i,
-                    wake_round=int(wake[i]),
-                    first_success_round=success_round,
-                    switch_off_round=switch_off,
-                    transmissions=int(attempts[i]),
-                )
-            )
-        telemetry.count("vectorized.rounds", rounds_executed)
-        return RunResult(
-            records=records,
-            rounds_executed=rounds_executed,
-            completed=completed,
-            stop=self.stop,
-            trace=None,
-            seed=self.seed,
-            protocol_name=getattr(self.schedule, "name", ""),
-            adversary_name=getattr(self.adversary, "name", ""),
-        )
+        (result,) = run_batch(self.spec, seeds=[self.spec.seed])
+        return result

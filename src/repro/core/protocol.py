@@ -132,7 +132,7 @@ class ProbabilitySchedule(abc.ABC):
     def probabilities(self, up_to: int) -> np.ndarray:
         """Vector of ``probability(i)`` for ``i = 1 .. up_to`` (clamped).
 
-        The vectorised engine precomputes this table once per run.  Rounds
+        The table cache computes this once per (schedule, horizon).  Rounds
         past :meth:`horizon` get probability 0.
         """
         if up_to < 0:

@@ -4,18 +4,21 @@
 the horizon — O(horizon) calls into ``probability(i)`` — and the paper's
 sweeps re-ran it once per repetition before the dispatch layer existed.
 The table is a pure function of (schedule, horizon), so this module keeps
-a small LRU keyed by ``(schedule fingerprint, horizon)``: a table1-style
-sweep now computes each configuration's table exactly once per process,
-and forked pool workers inherit the warm cache through the parent's
-address space.
+a small LRU keyed by ``(schedule fingerprint, horizon)`` whose entries
+hold the probability table and, once needed, its cumulative hazard
+(:class:`~repro.channel.vectorized.ScheduleTables`): a table1-style sweep
+now computes each configuration's tables exactly once per process, and
+forked pool workers inherit the warm cache through the parent's address
+space.
 
 The schedule fingerprint digests the schedule's class, ``name``,
 ``horizon()``, public primitive attributes *and* a probe of its actual
 probability values at fixed rounds — two schedules that would collide must
 agree on every probe, which no distinct paper configuration does.  As a
-second line of defence, the vectorised engine spot-checks any supplied
-table against the live schedule before sampling from it
-(``vectorized.py``), so a hash collision cannot silently poison results.
+second line of defence, the batched kernel spot-checks every table it
+fetches against the live schedule before sampling from it
+(:func:`repro.channel.vectorized.check_prob_table`), so a hash collision
+cannot silently poison results.
 
 Cached arrays are marked read-only; callers share them, never mutate them.
 """
@@ -28,13 +31,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.channel.vectorized import hazard_table
+from repro.channel.vectorized import ScheduleTables
 from repro.core.protocol import ProbabilitySchedule
 from repro.core.spec import stable_token
 from repro.telemetry import registry as telemetry
 
 __all__ = [
     "schedule_fingerprint",
+    "schedule_tables",
     "probability_table",
     "cumulative_hazard",
     "table_cache_info",
@@ -48,8 +52,7 @@ __all__ = [
 _PROBE_ROUNDS = tuple(range(1, 17)) + tuple(2**i for i in range(5, 21))
 
 _lock = threading.Lock()
-_tables: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-_hazards: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
+_tables: OrderedDict[tuple[str, int], ScheduleTables] = OrderedDict()
 _max_entries = 32
 _hits = 0
 _misses = 0
@@ -88,58 +91,41 @@ def schedule_fingerprint(schedule: ProbabilitySchedule) -> str:
     return digest.hexdigest()[:24]
 
 
-def _get(
-    store: OrderedDict[tuple[str, int], np.ndarray], key: tuple[str, int]
-) -> np.ndarray | None:
-    global _hits
-    entry = store.get(key)
-    if entry is not None:
-        store.move_to_end(key)
-        _hits += 1
-        telemetry.count("engine.cache.hit")
+def schedule_tables(schedule: ProbabilitySchedule, horizon: int) -> ScheduleTables:
+    """The cached :class:`ScheduleTables` of ``schedule`` over ``horizon``
+    local rounds: one fingerprint per lookup."""
+    global _hits, _misses
+    key = (schedule_fingerprint(schedule), int(horizon))
+    with _lock:
+        entry = _tables.get(key)
+        if entry is not None:
+            _tables.move_to_end(key)
+            _hits += 1
+            telemetry.count("engine.cache.hit")
+            return entry
+    entry = ScheduleTables(
+        np.asarray(schedule.probabilities(int(horizon)), dtype=float)
+    )
+    with _lock:
+        _misses += 1
+        telemetry.count("engine.cache.miss")
+        _tables[key] = entry
+        while len(_tables) > _max_entries:
+            _tables.popitem(last=False)
+            telemetry.count("engine.cache.evict")
     return entry
-
-
-def _put(
-    store: OrderedDict[tuple[str, int], np.ndarray],
-    key: tuple[str, int],
-    value: np.ndarray,
-) -> np.ndarray:
-    global _misses
-    _misses += 1
-    telemetry.count("engine.cache.miss")
-    value.setflags(write=False)
-    store[key] = value
-    while len(store) > _max_entries:
-        store.popitem(last=False)
-        telemetry.count("engine.cache.evict")
-    return value
 
 
 def probability_table(
     schedule: ProbabilitySchedule, horizon: int
 ) -> np.ndarray:
     """``schedule.probabilities(horizon)``, cached and read-only."""
-    key = (schedule_fingerprint(schedule), int(horizon))
-    with _lock:
-        cached = _get(_tables, key)
-    if cached is not None:
-        return cached
-    table = np.asarray(schedule.probabilities(int(horizon)), dtype=float)
-    with _lock:
-        return _put(_tables, key, table)
+    return schedule_tables(schedule, horizon).probabilities
 
 
 def cumulative_hazard(schedule: ProbabilitySchedule, horizon: int) -> np.ndarray:
     """The cumulative-hazard table over the probability table, cached."""
-    key = (schedule_fingerprint(schedule), int(horizon))
-    with _lock:
-        cached = _get(_hazards, key)
-    if cached is not None:
-        return cached
-    hazards = hazard_table(probability_table(schedule, horizon))
-    with _lock:
-        return _put(_hazards, key, hazards)
+    return schedule_tables(schedule, horizon).hazard
 
 
 def table_cache_info() -> dict[str, int]:
@@ -150,7 +136,7 @@ def table_cache_info() -> dict[str, int]:
             "hits": _hits,
             "misses": _misses,
             "tables": len(_tables),
-            "hazards": len(_hazards),
+            "hazards": sum(e.has_hazard for e in _tables.values()),
             "max_entries": _max_entries,
         }
 
@@ -160,14 +146,14 @@ def clear_table_cache() -> None:
     global _hits, _misses
     with _lock:
         _tables.clear()
-        _hazards.clear()
         _hits = 0
         _misses = 0
 
 
 def set_table_cache_limit(max_entries: int) -> None:
-    """Bound the cache (per store).  Tables are O(horizon) floats each, so
-    the default of 32 caps worst-case memory at a few tens of megabytes."""
+    """Bound the cache.  Each entry holds at most two O(horizon) float
+    tables, so the default of 32 caps worst-case memory at a few tens of
+    megabytes."""
     global _max_entries
     if max_entries < 1:
         raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -175,5 +161,3 @@ def set_table_cache_limit(max_entries: int) -> None:
         _max_entries = int(max_entries)
         while len(_tables) > _max_entries:
             _tables.popitem(last=False)
-        while len(_hazards) > _max_entries:
-            _hazards.popitem(last=False)

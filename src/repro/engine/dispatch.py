@@ -1,15 +1,18 @@
 """Capability-based engine dispatch: ``execute(spec, engine="auto")``.
 
-The repository ships three exact engines — the slot-by-slot
+The repository ships three exact engines, each a single-run view of one
+semantics — the slot-by-slot
 :class:`~repro.channel.simulator.SlotSimulator` (runs everything), the
-Poisson-thinning :class:`~repro.channel.vectorized.VectorizedSimulator`
-(runs the non-adaptive subset ~100x faster), and the table-driven
-compiled stepper (:mod:`repro.channel.compiled`, byte-identical to the
-object engine on the finite-state-machine protocols it lowers —
-``AdaptiveNoK``, ``SUniform``, ``GlobalClockUFR`` and probability
-schedules).  Before this layer existed, every experiment driver
-hand-picked an engine and re-spelled its constructor kwargs; now the
-choice is a property of the :class:`~repro.core.spec.RunSpec`:
+Poisson-thinning batch kernel :func:`~repro.channel.batched.run_batch`
+(runs the non-adaptive subset; a single run is a batch of one, fronted
+by :class:`~repro.channel.vectorized.VectorizedSimulator`), and the
+table-driven compiled stepper (:mod:`repro.channel.compiled`,
+byte-identical to the object engine on the finite-state-machine
+protocols it lowers — ``AdaptiveNoK``, ``SUniform``, ``GlobalClockUFR``
+and probability schedules).  Before this layer existed, every
+experiment driver hand-picked an engine and re-spelled its constructor
+kwargs; now the choice is a property of the
+:class:`~repro.core.spec.RunSpec`:
 
 ===============================  ======================================
 spec property                    vectorised-admissible?
@@ -299,7 +302,7 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
     """Construct (but do not run) the simulator for ``spec``.
 
     The vectorised path shares the per-process probability-table cache, so
-    repeated constructions of the same configuration reuse one table.
+    repeated runs of the same configuration reuse one table.
     """
     if engine == "auto":
         engine = select_engine(spec)
@@ -324,16 +327,14 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
             raise EngineSelectionError(
                 f"spec is not vectorised-admissible: {reason}"
             )
-        horizon = spec.resolve_horizon()
         return VectorizedSimulator(
             spec.k,
             spec.schedule,
             spec.adversary,
             switch_off_on_ack=spec.switch_off_on_ack,
             stop=spec.stop,
-            max_rounds=horizon,
+            max_rounds=spec.resolve_horizon(),
             seed=spec.seed,
-            prob_table=probability_table(spec.schedule, horizon),
             jam_rounds=spec.jam_rounds,
             faults=spec.faults,
         )
@@ -371,8 +372,9 @@ def execute(spec: RunSpec, engine: Optional[str] = None) -> RunResult:
 
     ``engine=None`` uses the process default (``"auto"`` unless the CLI's
     ``--engine`` flag or :func:`use_engine` changed it).  ``"auto"`` picks
-    the vectorised engine exactly when the spec is admissible and is
-    byte-identical, per seed, to constructing that engine directly.
+    the vectorised engine exactly when the spec is admissible; that path
+    is a one-seed :func:`~repro.channel.batched.run_batch` call,
+    byte-identical to constructing the engine directly.
     ``"cross-check"`` runs both engines, asserts agreement, and returns
     the result ``"auto"`` would have returned.
     """
@@ -381,13 +383,21 @@ def execute(spec: RunSpec, engine: Optional[str] = None) -> RunResult:
     if engine == "cross-check":
         with telemetry.span("engine.execute.cross-check"):
             return _cross_check(spec)
-    simulator = build_simulator(spec, engine)
-    if isinstance(simulator, VectorizedSimulator):
+    if engine == "auto":
+        engine = select_engine(spec)
+    if engine == "vectorized":
+        reason = vectorized_inadmissibility(spec)
+        if reason is not None:
+            raise EngineSelectionError(
+                f"spec is not vectorised-admissible: {reason}"
+            )
         telemetry.count("engine.select.vectorized")
         if spec.faults is not None:
             telemetry.count("engine.select.vectorized.fault")
         with telemetry.span("engine.execute.vectorized"):
-            return simulator.run()
+            (result,) = run_batch(_fused_base(spec), seeds=[spec.seed])
+            return result
+    simulator = build_simulator(spec, engine)
     if isinstance(simulator, CompiledSimulator):
         telemetry.count("engine.select.compiled")
         _count_compiled_capabilities(simulator.spec)

@@ -281,10 +281,9 @@ def use_tiling(
 
 def _hazard_total(spec: RunSpec, horizon: int) -> float:
     """Expected transmission events per station over the horizon."""
-    from repro.engine.cache import cumulative_hazard
+    from repro.engine.cache import schedule_tables
 
-    cum = cumulative_hazard(spec.schedule, horizon)
-    return float(cum[-1]) if len(cum) else 0.0
+    return schedule_tables(spec.schedule, horizon).hazard_total
 
 
 def _cost_parts(spec: RunSpec) -> tuple[int, int, float, int]:

@@ -13,9 +13,10 @@ shards across every worker instead of occupying one.
 * ``jobs == 1`` (the default) executes tasks serially in-process;
 * ``jobs > 1`` fans tasks out over a ``multiprocessing`` pool using the
   ``fork`` start method.  Tasks are arbitrary zero-argument closures —
-  workers inherit them (and any shared read-only state such as a
-  precomputed ``prob_table``) through the forked address space, so nothing
-  about the existing lambda-heavy driver code needs to become picklable;
+  workers inherit them (and any shared read-only state such as the
+  warmed probability-table cache) through the forked address space, so
+  nothing about the existing lambda-heavy driver code needs to become
+  picklable;
   only task *indices* cross the pipe going in and task *results* coming
   back.
 

@@ -616,11 +616,13 @@ def sweep_protocol(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
 ) -> list[MetricSample]:
-    """One :func:`repeat_protocol_runs` per contention size (flat fan-out)."""
+    """One :func:`repeat_protocol_runs` per contention size (flat fan-out);
+    compiled-admissible points fuse in chunks, as in :func:`sweep_schedule`."""
     journaling = current_checkpoint() is not None
     sample_label = label or getattr(protocol_factory, "protocol_name", "protocol")
     tasks = []
     seeds = []
+    batch_bases: list[Optional[RunSpec]] = []
     fingerprints: Optional[list[str]] = [] if journaling else None
     for i, k in enumerate(ks):
         base = RunSpec(
@@ -635,12 +637,14 @@ def sweep_protocol(
         base = _apply_default_faults(base)
         if journaling:
             fingerprints.extend([base.fingerprint()] * reps)
+        batch_bases.extend([base if _batch_fusable(base) else None] * reps)
         for r in range(reps):
             seeds.append(run_seed(seed, i, r))
             tasks.append(_spec_task(base.with_seed(seeds[-1])))
     results, seconds, retries = _execute_runs(
         fingerprints, seeds, tasks,
         jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
+        batch_bases=batch_bases,
     )
     return [
         _fold_sample(

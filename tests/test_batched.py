@@ -1,8 +1,9 @@
 """Batched-engine contract: byte identity, dispatch, harness chunking.
 
-The batched kernel's whole value proposition is the exactness contract:
-``run_batch(spec, seeds)`` must return ``RunResult``s *byte-identical* to
-``[execute(spec.with_seed(s)) for s in seeds]`` on the vectorised engine —
+The batched kernel is the vectorised engine (a single run is a batch of
+one), so its oracle is :func:`sequential_oracle`: the same per-repetition
+draws resolved by a plain round-by-round sweep.  ``run_batch(spec,
+seeds)`` must return ``RunResult``s *byte-identical* to the oracle's —
 same wake draws, same transmission samples, same records, same metrics.
 The Hypothesis suite below fuzzes that equality across the cross-engine
 config space (stochastic and deterministic schedules, both vectorised
@@ -29,10 +30,12 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.oblivious import UniformRandomSchedule
 from repro.channel import batched
 from repro.channel.batched import _map_points_to_rounds, run_batch
-from repro.channel.results import StopCondition
+from repro.channel.results import RunResult, StopCondition
+from repro.channel.vectorized import ScheduleTables, sample_station_events
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sawtooth_schedule import SawtoothSchedule
 from repro.core.spec import RunSpec
+from repro.core.station import StationRecord
 from repro.engine.dispatch import (
     EngineSelectionError,
     execute,
@@ -61,10 +64,95 @@ def canonical(result) -> str:
     return json.dumps(result_to_payload(result), sort_keys=True)
 
 
+def sequential_oracle(spec: RunSpec) -> RunResult:
+    """One run resolved round by round, independently of the kernel.
+
+    The draws are the kernel's (the same ``_rep_generators`` streams and
+    ``sample_station_events`` sampler, on a table computed here rather
+    than fetched from the cache); resolution is a plain sweep over the
+    rounds that carry a transmission.  A round with one live attempt is
+    a success unless jammed or faulted; under ack semantics the winner
+    stops transmitting.  The sweep stops once the stop condition can be
+    decided, except that ALL_SWITCHED_OFF without acks consumes every
+    event, since stations keep transmitting until their horizon.
+    """
+    k, schedule, max_rounds = spec.k, spec.schedule, spec.resolve_horizon()
+    ack, stop = spec.switch_off_on_ack, spec.stop
+    adversary_rng, station_rng = batched._rep_generators(spec.seed)
+    wake = np.asarray(spec.adversary.wake_rounds(k, adversary_rng), dtype=np.int64)
+    horizon = schedule.horizon()
+    max_local = int(max_rounds - wake.min())
+    if horizon is not None:
+        max_local = min(max_local, horizon)
+    max_local = max(max_local, 1)
+    stations, local = sample_station_events(
+        station_rng, schedule, k,
+        ScheduleTables(schedule.probabilities(max_local)), max_local,
+    )
+    rounds = local + wake[stations]
+    order = np.argsort(rounds, kind="stable")
+    stations, rounds = stations[order], rounds[order]
+    keep = rounds <= max_rounds
+    stations, rounds = stations[keep].tolist(), rounds[keep].tolist()
+    dead = set(spec.jam_rounds or ())
+    if spec.faults is not None:
+        dead |= spec.faults.plan(spec.seed, max_rounds).fault_set
+
+    first_success = [None] * k
+    alive = [True] * k
+    attempts = [0] * k
+    successes = 0
+    completed = False
+    rounds_executed = max_rounds
+    early_stop = stop is not StopCondition.ALL_SWITCHED_OFF or ack
+    need = 1 if stop is StopCondition.FIRST_SUCCESS else k
+    i = 0
+    while i < len(rounds) and not completed:
+        t = rounds[i]
+        live = []
+        while i < len(rounds) and rounds[i] == t:
+            if alive[stations[i]]:
+                live.append(stations[i])
+                attempts[stations[i]] += 1
+            i += 1
+        if len(live) == 1 and t not in dead:
+            winner = live[0]
+            if first_success[winner] is None:
+                first_success[winner] = t
+                successes += 1
+            alive[winner] = not ack
+            if early_stop and successes >= need:
+                completed, rounds_executed = True, t
+
+    def switch_off(i: int, until: int):
+        if ack and first_success[i] is not None:
+            return first_success[i]
+        if horizon is None:
+            return None
+        off = int(wake[i]) + horizon + 1
+        return off if off <= until else None
+
+    if not completed and stop is StopCondition.ALL_SWITCHED_OFF:
+        offs = [switch_off(i, max_rounds) for i in range(k)]
+        if None not in offs:
+            completed, rounds_executed = True, max(offs)
+    records = [
+        StationRecord(
+            i, int(wake[i]), first_success[i],
+            switch_off(i, rounds_executed), attempts[i],
+        )
+        for i in range(k)
+    ]
+    return RunResult(
+        records, rounds_executed, completed, stop, None, spec.seed,
+        schedule.name, spec.adversary.name,
+    )
+
+
 def assert_byte_identical(spec: RunSpec, seeds: list[int]) -> None:
-    batched = run_batch(spec, seeds=seeds)
-    sequential = [execute(spec.with_seed(s), engine="vectorized") for s in seeds]
-    assert [canonical(b) for b in batched] == [canonical(s) for s in sequential]
+    batch = run_batch(spec, seeds=seeds)
+    sequential = [sequential_oracle(spec.with_seed(s)) for s in seeds]
+    assert [canonical(b) for b in batch] == [canonical(s) for s in sequential]
 
 
 @st.composite
@@ -109,7 +197,7 @@ def batch_configs(c):
 @settings(max_examples=120, deadline=None)
 @given(batch_configs())
 def test_batched_byte_identical_to_sequential(config):
-    """The exactness contract, fuzzed: run_batch == R sequential executes,
+    """The exactness contract, fuzzed: run_batch == R sequential-oracle runs,
     compared through the canonical JSON serialisation (true byte identity),
     across schedules, both sampling paths, adversaries, jamming, ack/no-ack
     and every stop condition."""
@@ -172,8 +260,7 @@ class TestDeepAckChains:
 
         spec = self.spec(variant)
         sequential = [
-            canonical(execute(spec.with_seed(s), engine="vectorized"))
-            for s in self.SEEDS
+            canonical(sequential_oracle(spec.with_seed(s))) for s in self.SEEDS
         ]
         telemetry.enable()
         try:
@@ -374,9 +461,9 @@ class TestExecuteBatchDispatch:
     def test_auto_routes_admissible_specs_to_the_kernel(self):
         spec = self.spec()
         seeds = [11, 12, 13]
-        batched = execute_batch(spec, seeds)
-        expected = [execute(spec.with_seed(s), engine="vectorized") for s in seeds]
-        assert [canonical(b) for b in batched] == [canonical(e) for e in expected]
+        batch = execute_batch(spec, seeds)
+        expected = [sequential_oracle(spec.with_seed(s)) for s in seeds]
+        assert [canonical(b) for b in batch] == [canonical(e) for e in expected]
 
     def test_object_engine_falls_back_per_run(self):
         spec = self.spec()

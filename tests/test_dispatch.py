@@ -26,6 +26,7 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.adaptive import WakeOnSuccessAdversary
 from repro.baselines.backoff import BinaryExponentialBackoff
 from repro.baselines.cd_adaptive import CdAimdProtocol
+from repro.channel.batched import run_batch
 from repro.channel.compiled import CompiledSimulator
 from repro.channel.feedback import FeedbackModel
 from repro.channel.jamming import RandomJammer, ScheduledJammer
@@ -35,6 +36,7 @@ from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols import AdaptiveNoK, NonAdaptiveWithK, SUniform
 from repro.core.protocols.global_clock import GlobalClockUFR
+from repro.core.protocols.sawtooth_schedule import SawtoothSchedule
 from repro.core.spec import RunSpec
 from repro.engine import (
     EngineDisagreement,
@@ -479,6 +481,25 @@ def test_hazard_table_is_cached_per_horizon():
     assert h2 is h1
     assert cumulative_hazard(schedule, 2000) is not h1
     assert not h1.flags.writeable
+
+
+def test_probability_and_hazard_tables_share_one_entry():
+    # Both tables of a configuration live in one entry: a cold run_batch
+    # costs one miss, and the hazard is never an entry (or a miss) of its
+    # own.  It is materialised only for schedules that thin, not for
+    # fingerprint-only fetches or direct samplers.
+    clear_table_cache()
+    spec = schedule_spec()
+    run_batch(spec, seeds=[1, 2])
+    info = table_cache_info()
+    assert (info["misses"], info["tables"], info["hazards"]) == (1, 1, 1)
+    cumulative_hazard(spec.schedule, spec.max_rounds)
+    probability_table(spec.schedule, spec.max_rounds)
+    assert table_cache_info()["misses"] == 1
+    probability_table(NonAdaptiveWithK(32, 4), 100)
+    run_batch(spec.replace(protocol=SawtoothSchedule()), seeds=[1])
+    info = table_cache_info()
+    assert (info["misses"], info["tables"], info["hazards"]) == (3, 3, 1)
 
 
 def test_cache_respects_lru_bound():

@@ -30,15 +30,6 @@ class Constant(ProbabilitySchedule):
 
 
 class TestVectorizedEdges:
-    def test_short_prob_table_falls_back_to_schedule(self):
-        schedule = NonAdaptiveWithK(8, 4)
-        short_table = schedule.probabilities(3)  # far too short
-        result = VectorizedSimulator(
-            8, schedule, StaticSchedule(), max_rounds=2000,
-            seed=0, prob_table=short_table,
-        ).run()
-        assert result.completed  # recomputed internally
-
     def test_first_success_with_offset_wakes(self):
         class OneShot(ProbabilitySchedule):
             """Transmit exactly at local round 1, then stop."""

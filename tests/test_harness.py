@@ -91,11 +91,37 @@ class TestSweeps:
         assert [s.k for s in samples] == [8, 16]
 
     def test_sweep_protocol_one_sample_per_k(self):
-        samples = sweep_protocol(
-            (4, 8), lambda: SUniform(), StaticSchedule(),
-            reps=1, seed=5, max_rounds=lambda k: 64 * k,
-        )
+        from repro.experiments.executor import use_batch_size
+        from repro.telemetry import registry as telemetry
+
+        def sweep(batch_size):
+            with use_batch_size(batch_size):
+                return sweep_protocol(
+                    (4, 8), lambda: SUniform(), StaticSchedule(),
+                    reps=3, seed=5, max_rounds=lambda k: 64 * k,
+                )
+
+        def metrics(sample):
+            return (
+                sample.k, sample.runs, sample.failures, sample.max_latency,
+                sample.mean_latency, sample.energy, sample.first_success,
+                sample.rounds,
+            )
+
+        telemetry.enable()
+        try:
+            samples = sweep(batch_size=None)
+            fused = telemetry.snapshot()["counters"].get("engine.batch_fused_runs", 0)
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         assert [s.k for s in samples] == [4, 8]
+        # SUniform lowers onto the compiled stepper, so each sweep point's
+        # repetitions fuse into one batch, with per-run results unchanged.
+        assert fused == 6
+        assert [metrics(s) for s in samples] == [
+            metrics(s) for s in sweep(batch_size=1)
+        ]
 
     def test_sweep_seeds_differ_by_k(self):
         # Different ks get decorrelated seeds (SEED_STRIDE apart): the

@@ -10,10 +10,17 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.adaptive import DripFeedAdversary
 from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
 from repro.channel.results import StopCondition
-from repro.channel.vectorized import VectorizedSimulator, hazard_table
+from repro.channel.validate import validate_run
+from repro.channel.vectorized import (
+    ScheduleTables,
+    VectorizedSimulator,
+    hazard_table,
+)
 from repro.core.protocol import ProbabilitySchedule
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine.dispatch import execute
 
 
 class ConstantSchedule(ProbabilitySchedule):
@@ -142,27 +149,38 @@ class TestDeterminism:
         ]
         assert a.total_transmissions == b.total_transmissions
 
-    def test_mismatched_prob_table_rejected(self):
+    def test_mismatched_prob_table_rejected(self, monkeypatch):
+        # A cache entry built from a different schedule (what a fingerprint
+        # collision would produce) is caught by run_batch's spot-check
+        # before anything is sampled from it.
+        from repro.engine import cache
+
         schedule = NonAdaptiveWithK(16, 3)
         wrong = NonAdaptiveWithK(64, 3).probabilities(2000)
+        key = (cache.schedule_fingerprint(schedule), 2000)
+        monkeypatch.setitem(cache._tables, key, ScheduleTables(wrong))
         with pytest.raises(ValueError, match="disagrees"):
             VectorizedSimulator(
-                16, schedule, StaticSchedule(), max_rounds=2000,
-                seed=9, prob_table=wrong,
+                16, schedule, StaticSchedule(), max_rounds=2000, seed=9
             ).run()
 
-    def test_prob_table_injection_equivalent(self):
-        schedule = NonAdaptiveWithK(16, 3)
-        table = schedule.probabilities(2000)
-        base = VectorizedSimulator(
-            16, schedule, StaticSchedule(), max_rounds=2000, seed=9
-        ).run()
-        injected = VectorizedSimulator(
-            16, schedule, StaticSchedule(), max_rounds=2000, seed=9, prob_table=table
-        ).run()
-        assert [r.first_success_round for r in base.records] == [
-            r.first_success_round for r in injected.records
+    def test_unseeded_runs_draw_fresh_entropy(self):
+        # seed=None runs on OS entropy through dispatch and the facade
+        # alike, and the result reports seed=None.
+        spec = RunSpec(
+            16, NonAdaptiveWithK(16, 6), UniformRandomSchedule(span=1000)
+        )
+        results = [execute(spec) for _ in range(3)] + [
+            VectorizedSimulator(
+                16, spec.schedule, spec.adversary, max_rounds=spec.resolve_horizon()
+            ).run()
+            for _ in range(3)
         ]
+        for result in results:
+            assert result.seed is None
+            validate_run(result)
+        wakes = {tuple(r.wake_round for r in res.records) for res in results}
+        assert len(wakes) == len(results)
 
 
 class TestValidation:
