@@ -18,24 +18,28 @@ import time
 
 import pytest
 
-from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
+from repro.adversary.oblivious import UniformRandomSchedule
+from repro.analysis.metrics import collect
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
 from repro.experiments.executor import parallelism_available
-from repro.experiments.harness import sweep_schedule
+from repro.experiments.harness import run_grid, run_seed
 
 from benchmarks.conftest import RESULTS_DIR
 
 
 def _sweep(jobs, *, ks=(64, 128, 192, 256), reps=6):
-    return sweep_schedule(
-        ks,
-        lambda k: NonAdaptiveWithK(k, 4),
-        UniformRandomSchedule(span=lambda k: 2 * k),
-        reps=reps,
-        seed=8087,
-        max_rounds=lambda k: 60 * k,
-        jobs=jobs,
-    )
+    """One run_grid cell per k, folded into one sample per k."""
+    adversary = UniformRandomSchedule(span=lambda k: 2 * k)
+    cells = [
+        (RunSpec(k, NonAdaptiveWithK(k, 4), adversary, max_rounds=60 * k),
+         [run_seed(8087, i, r) for r in range(reps)])
+        for i, k in enumerate(ks)
+    ]
+    return [
+        collect(base.display_label, base.k, results)
+        for (base, _seeds), results in zip(cells, run_grid(cells, jobs=jobs))
+    ]
 
 
 def test_bench_parallel_equality(benchmark):

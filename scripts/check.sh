@@ -22,6 +22,37 @@ if grep -rnE "(SlotSimulator|VectorizedSimulator)\(" src/repro/experiments/; the
     exit 1
 fi
 
+echo "== one-execution-path lint =="
+# Only the harness may run simulations: every driver hands (spec, seeds)
+# cells to run_grid, which journals, batches and fans them out.  A driver
+# importing execute/execute_batch would silently bypass --resume, --jobs
+# and batching.  AST-based, so prose mentioning execute() is fine.
+python3 - <<'PYEOF'
+import ast, pathlib, sys
+
+BANNED = {"execute", "execute_batch"}
+bad = []
+for path in sorted(pathlib.Path("src/repro/experiments").rglob("*.py")):
+    if path.name == "harness.py":
+        continue
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and node.attr in BANNED:
+            names = {node.attr}
+        else:
+            continue
+        for name in sorted(names & BANNED):
+            bad.append(f"{path.as_posix()}:{node.lineno}: {name}")
+if bad:
+    print("error: experiment drivers must run simulations through")
+    print("repro.experiments.harness.run_grid, not the engine directly:")
+    for loc in bad:
+        print(f"  {loc}")
+    sys.exit(1)
+PYEOF
+
 echo "== bare-print lint =="
 # Library code reports through telemetry, logging or return values; bare
 # print() belongs only to the CLI and the report renderer.  AST-based so
@@ -63,10 +94,20 @@ else
     python3 -m pytest tests/ -q
 fi
 
-echo "== quick experiment wiring check =="
-python3 -m repro suite --scale quick \
-    --only fig1_clocks,fig4_sublinear_schedule,thm51_wakeup \
-    --out /tmp/repro-check
+echo "== quick suite: jobs and resume byte identity =="
+# Every registered experiment at quick scale, three ways: serial into a
+# fresh journal, two workers into another, and a serial replay of the
+# first journal.  All three must write byte-identical CSVs.
+rm -rf /tmp/repro-check
+python3 -m repro suite --scale quick --out /tmp/repro-check/serial \
+    --resume /tmp/repro-check/journal >/dev/null
+python3 -m repro suite --scale quick --jobs 2 --out /tmp/repro-check/jobs2 \
+    --resume /tmp/repro-check/journal-jobs2 >/dev/null
+python3 -m repro suite --scale quick --out /tmp/repro-check/replay \
+    --resume /tmp/repro-check/journal >/dev/null
+test "$(ls /tmp/repro-check/serial/*.txt | wc -l)" -eq 27
+diff -r -x SUMMARY.md /tmp/repro-check/serial /tmp/repro-check/jobs2
+diff -r -x SUMMARY.md /tmp/repro-check/serial /tmp/repro-check/replay
 
 echo "== crash-safe resume check =="
 python3 -m repro run thm51_wakeup --jobs 2 --task-timeout 300 --max-retries 2 \

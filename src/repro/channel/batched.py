@@ -1,9 +1,8 @@
 """Batched vectorised engine: R repetitions in one set of numpy passes.
 
-Every experiment in this repository is a Monte Carlo estimate —
-``repeat_schedule_runs`` / ``sweep_schedule`` execute hundreds to
-thousands of statistically independent repetitions of the same
-:class:`~repro.core.spec.RunSpec`.  :func:`run_batch` is the one engine
+Every experiment in this repository is a Monte Carlo estimate — the
+harness's ``run_grid`` executes hundreds to thousands of statistically
+independent repetitions of the same :class:`~repro.core.spec.RunSpec`.  :func:`run_batch` is the one engine
 for vectorised-admissible specs: it fuses all R repetitions into one
 ``(rep, station)`` batch, and a single run is simply a batch of one
 (:class:`~repro.channel.vectorized.VectorizedSimulator` is that facade):

@@ -39,6 +39,7 @@ from repro.faults import FaultModel
 
 __all__ = [
     "RunSpec",
+    "check_seed",
     "stable_token",
     "adversary_token",
     "arrival_token",
@@ -66,6 +67,23 @@ def stable_token(value: object) -> object:
     if isinstance(name, str):
         return name
     return type(value).__name__
+
+
+def _require_int(field: str, value: object) -> None:
+    """Raise ``TypeError`` naming ``field`` unless ``value`` is an integer
+    (``bool`` excluded: ``True`` is not a station count or a seed)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(
+            f"{field} must be an integer, got {type(value).__name__} {value!r}"
+        )
+
+
+def check_seed(seed: object) -> None:
+    """Validate one run seed: a non-negative integer (numpy's seeding
+    rejects negatives, and a float would be silently truncated)."""
+    _require_int("seed", seed)
+    if seed < 0:  # type: ignore[operator]
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 #: Legal values of :attr:`RunSpec.queue_discipline` (traffic runs only).
@@ -178,8 +196,11 @@ class RunSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        _require_int("k", self.k)
         if self.k < 1:
             raise ValueError(f"need at least one station, got k={self.k}")
+        if self.seed is not None:
+            check_seed(self.seed)
         if not isinstance(self.protocol, ProbabilitySchedule) and not callable(
             self.protocol
         ):
@@ -218,8 +239,10 @@ class RunSpec:
                 "adversary must be a WakeSchedule or AdaptiveAdversary, "
                 f"got {type(self.adversary).__name__}"
             )
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.max_rounds is not None:
+            _require_int("max_rounds", self.max_rounds)
+            if self.max_rounds < 1:
+                raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.jammer is not None and self.jam_rounds is not None:
             raise ValueError(
                 "jammer and jam_rounds are mutually exclusive: jam_rounds is "
@@ -227,9 +250,12 @@ class RunSpec:
             )
         if self.jam_rounds is not None:
             rounds: Iterable[int] = self.jam_rounds  # type: ignore[assignment]
-            object.__setattr__(
-                self, "jam_rounds", tuple(sorted({int(r) for r in rounds}))
-            )
+            jammed = tuple(sorted({int(r) for r in rounds}))
+            if jammed and jammed[0] < 1:
+                raise ValueError(
+                    f"jam_rounds are global rounds (>= 1), got {jammed[0]}"
+                )
+            object.__setattr__(self, "jam_rounds", jammed)
         if self.faults is not None:
             if not isinstance(self.faults, FaultModel):
                 raise TypeError(

@@ -13,10 +13,9 @@ from repro.experiments.harness import (
     config_seed,
     repeat_protocol_runs,
     repeat_schedule_runs,
+    run_grid,
     run_pool,
     run_seed,
-    sweep_protocol,
-    sweep_schedule,
     worst_sample,
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
@@ -33,9 +32,8 @@ __all__ = [
     "set_default_jobs",
     "repeat_protocol_runs",
     "repeat_schedule_runs",
+    "run_grid",
     "run_pool",
-    "sweep_protocol",
-    "sweep_schedule",
     "worst_sample",
     "EXPERIMENTS",
     "run_experiment",

@@ -25,8 +25,8 @@ import numpy as np
 from repro.adversary.oblivious import BatchSchedule
 from repro.channel.messages import DataPacket
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK, Mode
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_adaptive_anatomy"]
@@ -87,10 +87,12 @@ def run_adaptive_anatomy(
         protocols.append(protocol)
         return protocol
 
-    result = execute(RunSpec(
+    # One traced run: a one-run grid executes in this process, so the
+    # factory's instrumentation lands in the lists above.
+    ((result,),) = run_grid([(RunSpec(
         k=k, protocol=factory, adversary=BatchSchedule(batch=batch, gap=gap),
-        seed=seed, record_trace=True,
-    ))
+        record_trace=True,
+    ), [seed])])
 
     wake_by_station = {r.station_id: r.wake_round for r in result.records}
 

@@ -21,8 +21,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_estimate_robustness"]
@@ -46,20 +46,21 @@ def run_estimate_robustness(
     from repro.adversary.oblivious import StaticSchedule
 
     adversary = StaticSchedule()
+    k_hats = [max(1, int(round(factor * k))) for factor in factors]
+    # Theorem 3.1's ladder length is a function of the estimate, so the
+    # horizon is an experiment parameter here, not a default.
+    cells = [
+        (RunSpec(
+            k=k, protocol=NonAdaptiveWithK(k_hat, c), adversary=adversary,
+            max_rounds=3 * c * k_hat + 3 * k + 4096,
+        ), range(seed, seed + reps))
+        for k_hat in k_hats
+    ]
     rows = []
-    for factor in factors:
-        k_hat = max(1, int(round(factor * k)))
-        schedule = NonAdaptiveWithK(k_hat, c)
-        # Theorem 3.1's ladder length is a function of the estimate, so the
-        # horizon is an experiment parameter here, not a default.
-        horizon = 3 * c * k_hat + 3 * k + 4096
-        base = RunSpec(
-            k=k, protocol=schedule, adversary=adversary, max_rounds=horizon
-        )
+    for factor, k_hat, results in zip(factors, k_hats, run_grid(cells)):
         latencies, energies, failures = [], [], 0
         delivered = []
-        for r in range(reps):
-            result = execute(base.with_seed(seed + r))
+        for result in results:
             delivered.append(result.success_count)
             # A run counts as solved only when every station succeeded:
             # under a bad estimate the stations can exhaust their ladders

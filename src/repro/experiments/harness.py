@@ -1,11 +1,18 @@
-"""Experiment harness: repeated runs, sweeps over ``k``, worst-case pools.
+"""Experiment harness: one execution primitive, :func:`run_grid`.
 
-Every run goes through the engine-dispatch layer: the harness builds one
-:class:`~repro.core.spec.RunSpec` per configuration, fans seeded copies out
-through the executor, and lets :func:`repro.engine.execute` pick the engine
-(the vectorised sampler exactly when the spec is admissible, the object
-engine otherwise — or whatever the process default engine says, so
-``--engine cross-check`` shadows every run with the reference engine).
+Every simulation run an experiment driver makes goes through
+:func:`run_grid`: the driver describes each configuration as an un-seeded
+:class:`~repro.core.spec.RunSpec` plus the explicit seeds to run it with,
+and the grid fans the seeded copies out through the executor, the
+checkpoint journal and the batched kernels, letting
+:func:`repro.engine.execute` / :func:`repro.engine.execute_batch` pick the
+engine (the vectorised sampler exactly when the spec is admissible, the
+compiled stepper for lowerable machines, the object engine otherwise — or
+whatever the process default engine says, so ``--engine cross-check``
+shadows every run with the reference engine).  ``repeat_schedule_runs`` /
+``repeat_protocol_runs`` / ``repeat_spec_runs`` are one-cell conveniences
+over it.  No driver calls ``execute`` itself (``scripts/check.sh`` lints
+for it).
 
 Seeding contract
 ----------------
@@ -17,6 +24,8 @@ number can be regenerated exactly from its run seed.  ``SEED_STRIDE`` is
 ``2**32``, which keeps the per-configuration seed streams disjoint for any
 repetition count below four billion (the historical ``seed + 1000*i + r``
 scheme collided across configurations whenever ``reps >= 1000``).
+Drivers whose published numbers predate that layout keep their own
+explicit seeds; :func:`run_grid` takes every seed as given.
 
 Parallel execution
 ------------------
@@ -25,8 +34,8 @@ Every helper below accepts a ``jobs`` argument (``None`` = the process
 default set by the CLI's ``--jobs`` flag) and fans its runs out through
 :class:`~repro.experiments.executor.RunExecutor`.  Because each run's seed
 is pre-assigned before submission, results are bit-identical for any
-worker count; sweeps parallelize across *both* sweep points and
-repetitions.  Probability tables are warmed in the parent process (the
+worker count; a grid parallelises across *both* cells and repetitions.
+Probability tables are warmed in the parent process (the
 :mod:`repro.engine.cache` LRU), so forked workers inherit them read-only
 instead of recomputing per repetition.  Per-run wall-clock durations land
 in ``MetricSample.run_seconds``.
@@ -59,9 +68,7 @@ from repro.analysis.metrics import MetricSample
 from repro.channel.feedback import FeedbackModel
 from repro.channel.results import RunResult, StopCondition
 from repro.core.protocol import ProbabilitySchedule, Protocol
-from repro.core.spec import RunSpec
-from repro.core.spec import adversary_token as _adversary_token  # noqa: F401 back-compat
-from repro.core.spec import stable_token as _stable_token  # noqa: F401 back-compat
+from repro.core.spec import RunSpec, check_seed
 from repro.engine.cache import probability_table
 from repro.engine.dispatch import (
     compiled_inadmissibility,
@@ -79,11 +86,11 @@ __all__ = [
     "config_seed",
     "run_seed",
     "ExperimentReport",
+    "GridCell",
+    "run_grid",
     "repeat_schedule_runs",
     "repeat_protocol_runs",
     "repeat_spec_runs",
-    "sweep_schedule",
-    "sweep_protocol",
     "run_pool",
     "worst_sample",
 ]
@@ -149,90 +156,122 @@ def _fold_sample(
         return sample
 
 
-def _schedule_fingerprint(
-    k: int,
-    schedule: ProbabilitySchedule,
-    adversary: WakeSchedule,
-    *,
-    horizon: int,
-    prob_table,
-    switch_off_on_ack: bool,
-    stop: StopCondition,
-) -> str:
-    """Back-compat shim: journal key for one schedule-run configuration.
+#: Estimated working set (:func:`repro.engine.plan.estimate_rep_bytes`)
+#: one fused chunk may reach.  Fusing amortises a kernel call's fixed cost
+#: over its repetitions, which pays only while repetitions are small; a
+#: repetition this large runs alone instead of multiplying peak memory.
+FUSED_CHUNK_BYTES = 128 * 2**20
 
-    The journal key is now derived from :meth:`RunSpec.fingerprint`; this
-    wrapper keeps the pre-RunSpec call signature working for existing
-    callers and tests.
+#: One grid cell: an un-seeded base spec and the explicit run seeds to
+#: execute it with (each run is ``base.with_seed(seed)``).
+GridCell = tuple[RunSpec, Sequence[int]]
+
+
+def run_grid(
+    cells: Iterable[GridCell],
+    *,
+    jobs: Optional[int] = None,
+    task_timeout: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    batch_size: Optional[int] = None,
+) -> list[list[RunResult]]:
+    """Execute every ``(base, seeds)`` cell; one result list per cell, in
+    cell order, each in seed order.
+
+    The one execution primitive every driver goes through.  All runs of
+    all cells form one flat task bag, so ``jobs`` parallelises across
+    cells as well as repetitions.  Per cell, the process-default fault
+    model is folded into the base, the base's probability table is warmed
+    before any fork, and (under ``--resume``) the base is fingerprinted
+    once; each run is then looked up in, or recorded to, the journal under
+    ``(fingerprint, seed)``.  Consecutive runs of one fusable base are
+    chunked into :func:`repro.engine.execute_batch` calls (see
+    :func:`_execute_runs`).  Results are byte-identical for every worker
+    count, batch size, tiling and resume state.
+
+    A ``record_trace`` base runs through the same path but is never
+    journaled — the journal payload drops traces, so a replay could not
+    return one — and each such run counts as ``harness.runs_unjournaled``.
     """
-    return RunSpec(
-        k=k,
-        protocol=schedule,
-        adversary=adversary,
-        switch_off_on_ack=switch_off_on_ack,
-        stop=stop,
-        max_rounds=horizon,
-    ).fingerprint(prob_table=prob_table)
+    return [
+        results
+        for results, _seconds, _retries in _run_cells(
+            cells,
+            jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
+            batch_size=batch_size,
+        )
+    ]
 
 
-def _protocol_fingerprint(
-    k: int,
-    protocol_factory: Callable[[], Protocol],
-    adversary: WakeSchedule | AdaptiveAdversary,
-    *,
-    horizon: int,
-    feedback: FeedbackModel,
-    stop: StopCondition,
-    label: str,
-) -> str:
-    """Back-compat shim: journal key for one object-engine configuration
-    (see :meth:`RunSpec.fingerprint`)."""
-    return RunSpec(
-        k=k,
-        protocol=protocol_factory,
-        adversary=adversary,
-        feedback=feedback,
-        stop=stop,
-        max_rounds=horizon,
-        label=label,
-    ).fingerprint()
+def _run_cells(
+    cells: Iterable[GridCell], **policy: Optional[float]
+) -> list[tuple[list[RunResult], list[float], list[int]]]:
+    """:func:`run_grid` with each cell's per-run seconds and retry counts."""
+    journaling = current_checkpoint() is not None
+    bases: list[RunSpec] = []
+    seeds: list[int] = []
+    fingerprints: list[Optional[str]] = []
+    batch_bases: list[Optional[RunSpec]] = []
+    bounds: list[tuple[int, int]] = []
+    for base, cell_seeds in cells:
+        cell_seeds = list(cell_seeds)
+        for seed in cell_seeds:
+            check_seed(seed)
+        base = _apply_default_faults(base)
+        prob_table = _warm_tables(base)
+        fingerprint = None
+        if base.record_trace:
+            telemetry.count("harness.runs_unjournaled", len(cell_seeds))
+        elif journaling:
+            fingerprint = base.fingerprint(prob_table=prob_table)
+        fusable = not base.record_trace and _batch_fusable(base)
+        start = len(seeds)
+        seeds.extend(cell_seeds)
+        bases.extend([base] * len(cell_seeds))
+        fingerprints.extend([fingerprint] * len(cell_seeds))
+        batch_bases.extend([base if fusable else None] * len(cell_seeds))
+        bounds.append((start, len(seeds)))
+    results, seconds, retries = _execute_runs(
+        bases, seeds, fingerprints, batch_bases, **policy
+    )
+    return [
+        (results[a:b], seconds[a:b], retries[a:b]) for a, b in bounds
+    ]
 
 
 def _execute_runs(
-    fingerprints: Optional[Sequence[str]],
+    bases: Sequence[RunSpec],
     seeds: Sequence[int],
-    tasks: Sequence[Callable[[], RunResult]],
+    fingerprints: Sequence[Optional[str]],
+    batch_bases: Sequence[Optional[RunSpec]],
     *,
     jobs: Optional[int],
     task_timeout: Optional[float],
     max_retries: Optional[int],
-    batch_bases: Optional[Sequence[Optional[RunSpec]]] = None,
-    batch_size: Optional[int] = None,
+    batch_size: Optional[int],
 ) -> tuple[list[RunResult], list[float], list[int]]:
-    """Run a pre-seeded task bag through the executor, checkpoint-aware.
+    """Run a pre-seeded run bag through the executor, checkpoint-aware.
 
-    ``fingerprints`` aligns with ``tasks`` (sweeps carry one fingerprint
-    per configuration); None disables journaling.  Runs already present in
-    the active journal are *not* re-executed: their stored results (and
-    wall seconds) are folded in place.  Fresh results are journaled the
-    moment the executor collects them, so an interruption loses at most
-    the in-flight runs.  Returns results, per-run seconds and per-run
-    retry counts, all in submission order.
+    Run ``i`` is ``bases[i].with_seed(seeds[i])``.  ``fingerprints[i]`` is
+    its journal key (None = never journaled).  Runs already present in the
+    active journal are *not* re-executed: their stored results (and wall
+    seconds) are folded in place.  Fresh results are journaled the moment
+    the executor collects them, so an interruption loses at most the
+    in-flight runs.  Returns results, per-run seconds and per-run retry
+    counts, all in submission order.
 
-    Batched submission: ``batch_bases`` aligns with ``tasks`` and names the
-    un-seeded base :class:`RunSpec` each run was derived from (None = this
-    run must go through its own task).  Consecutive *pending* runs sharing
-    the same base object are chunked into groups of up to ``batch_size``
-    (None = the process default, CLI ``--batch-size``) and submitted as one
-    :func:`repro.engine.execute_batch` task, which fuses admissible chunks
-    into a single vectorised kernel call and transparently falls back to
-    per-run execution otherwise.  Results are byte-identical for every
-    batch size (the batched kernel's contract); journal entries stay
-    per-(fingerprint, seed) with the chunk's wall-clock split evenly, so
-    ``--resume`` is unaffected.  A ``batch_size`` of 1 — or no
-    ``batch_bases`` — is exactly the historical one-task-per-run path.
-    Under batching, ``task_timeout`` bounds a whole chunk attempt and a
-    retried chunk re-executes all of its runs (same seeds, same results).
+    Batched submission: ``batch_bases[i]`` is the base run ``i`` may fuse
+    with (None = this run goes through its own task).  Consecutive
+    *pending* runs sharing the same base object are chunked into groups of
+    up to ``batch_size`` (None = the process default, CLI ``--batch-size``)
+    and submitted as one :func:`repro.engine.execute_batch` task, which
+    fuses the chunk into a single kernel call.  Results are byte-identical
+    for every batch size (the batched kernels' contract); journal entries
+    stay per-(fingerprint, seed) with the chunk's wall-clock split evenly,
+    so ``--resume`` is unaffected.  A ``batch_size`` of 1 is exactly the
+    one-task-per-run path.  Under batching, ``task_timeout`` bounds a
+    whole chunk attempt and a retried chunk re-executes all of its runs
+    (same seeds, same results).
 
     Tiled scheduling: when a memory budget or ``--tile-reps`` is active
     (see :mod:`repro.engine.plan`), each base's chunk ceiling shrinks to
@@ -242,65 +281,67 @@ def _execute_runs(
     tile-size-invariant: a journal written under one tiling folds into a
     resumed run under any other.
     """
-    journal = current_checkpoint() if fingerprints is not None else None
-    n = len(tasks)
+    journal = current_checkpoint()
+    n = len(seeds)
     results: list[Optional[RunResult]] = [None] * n
     seconds = [0.0] * n
     retries = [0] * n
-    pending = list(range(n))
-    if journal is not None:
-        pending = []
-        for index in range(n):
-            cached = journal.get(fingerprints[index], seeds[index])
-            if cached is not None:
-                results[index], seconds[index] = cached
-            else:
-                pending.append(index)
+    pending = []
+    for index in range(n):
+        fingerprint = fingerprints[index]
+        cached = (
+            None if journal is None or fingerprint is None
+            else journal.get(fingerprint, seeds[index])
+        )
+        if cached is None:
+            pending.append(index)
+        else:
+            results[index], seconds[index] = cached
     if pending:
-        size = resolve_batch_size(batch_size) if batch_bases is not None else 1
-        # Per-base chunk ceiling: min(batch size, the base's rep-tile cap)
-        # so one fork-pool task never exceeds the memory budget and a
-        # single config fans out across workers tile by tile.
-        from repro.engine.plan import tile_rep_cap
+        size = resolve_batch_size(batch_size)
+        # Per-base chunk ceiling: the batch size, capped by the base's
+        # rep-tile cap (so one fork-pool task never exceeds the memory
+        # budget and a single config fans out across workers tile by
+        # tile) and by FUSED_CHUNK_BYTES.
+        from repro.engine.plan import estimate_rep_bytes, tile_rep_cap
 
         cap_cache: dict[int, int] = {}
 
         def base_cap(base: RunSpec) -> int:
             cached = cap_cache.get(id(base))
             if cached is None:
-                cap = tile_rep_cap(base)
-                cached = size if cap is None else min(size, cap)
+                cached = min(size, FUSED_CHUNK_BYTES // estimate_rep_bytes(base))
+                tile_cap = tile_rep_cap(base)
+                if tile_cap is not None:
+                    cached = min(cached, tile_cap)
+                cached = max(1, cached)
                 cap_cache[id(base)] = cached
             return cached
 
         chunks: list[list[int]] = []
         exec_tasks: list[Callable[[], object]] = []
-        if size > 1:
-            i = 0
-            while i < len(pending):
-                index = pending[i]
-                base = batch_bases[index]
-                group = [index]
-                i += 1
-                if base is not None:
-                    cap = base_cap(base)
-                    while (
-                        i < len(pending)
-                        and len(group) < cap
-                        and batch_bases[pending[i]] is base
-                    ):
-                        group.append(pending[i])
-                        i += 1
-                if len(group) == 1:
-                    exec_tasks.append(tasks[index])
-                else:
-                    exec_tasks.append(
-                        _batch_task(base, [seeds[idx] for idx in group])
-                    )
-                chunks.append(group)
-        else:
-            chunks = [[index] for index in pending]
-            exec_tasks = [tasks[index] for index in pending]
+        i = 0
+        while i < len(pending):
+            index = pending[i]
+            base = batch_bases[index]
+            group = [index]
+            i += 1
+            if base is not None and size > 1:
+                cap = base_cap(base)
+                while (
+                    i < len(pending)
+                    and len(group) < cap
+                    and batch_bases[pending[i]] is base
+                ):
+                    group.append(pending[i])
+                    i += 1
+            if len(group) == 1:
+                exec_tasks.append(_spec_task(bases[index].with_seed(seeds[index])))
+            else:
+                exec_tasks.append(
+                    _batch_task(base, [seeds[idx] for idx in group])
+                )
+            chunks.append(group)
         executor = RunExecutor(
             jobs, task_timeout=task_timeout, max_retries=max_retries
         )
@@ -308,26 +349,19 @@ def _execute_runs(
         if journal is not None:
             def on_result(j: int, result: object, secs: float) -> None:
                 group = chunks[j]
-                if len(group) == 1:
-                    journal.record(fingerprints[group[0]], seeds[group[0]], result, secs)
-                    return
+                runs = [result] if len(group) == 1 else result
                 per_run = secs / len(group)
-                for index, run in zip(group, result):
-                    journal.record(fingerprints[index], seeds[index], run, per_run)
+                for index, run in zip(group, runs):
+                    if fingerprints[index] is not None:
+                        journal.record(fingerprints[index], seeds[index], run, per_run)
         fresh = executor.map(exec_tasks, on_result=on_result)
         for j, group in enumerate(chunks):
-            if len(group) == 1:
-                index = group[0]
-                results[index] = fresh[j]
-                seconds[index] = executor.last_task_seconds[j]
+            runs = [fresh[j]] if len(group) == 1 else fresh[j]
+            per_run = executor.last_task_seconds[j] / len(group)
+            for index, run in zip(group, runs):
+                results[index] = run
+                seconds[index] = per_run
                 retries[index] = executor.last_retry_counts[j]
-            else:
-                per_run = executor.last_task_seconds[j] / len(group)
-                chunk_retries = executor.last_retry_counts[j]
-                for index, run in zip(group, fresh[j]):
-                    results[index] = run
-                    seconds[index] = per_run
-                    retries[index] = chunk_retries
     return results, seconds, retries  # type: ignore[return-value]
 
 
@@ -372,12 +406,12 @@ def _apply_default_faults(base: RunSpec) -> RunSpec:
     """Fold the process-default fault model into a harness-built spec.
 
     The CLI's ``--noise``/``--ack-loss``/``--energy-budget`` flags set a
-    process default (:func:`repro.faults.use_faults`); every harness
-    helper folds it into the specs it builds, so any experiment can be
-    re-run on a degraded channel without changing its driver.  A spec
-    that already carries its own fault model wins (the robustness
-    experiment sets per-cell models), and fifo traffic stays unfaulted
-    (the queue simulator has no fault path).
+    process default (:func:`repro.faults.use_faults`); :func:`run_grid`
+    folds it into every base it runs, so any experiment can be re-run on
+    a degraded channel without changing its driver.  A spec that already
+    carries its own fault model wins (the robustness experiment sets
+    per-cell models), and fifo traffic stays unfaulted (the queue
+    simulator has no fault path).
     """
     default = current_faults()
     if default is None or base.faults is not None:
@@ -398,6 +432,16 @@ def _warm_tables(spec: RunSpec) -> Optional[object]:
     return None
 
 
+def _repeat_sample(
+    base: RunSpec, label: str, *, reps: int, seed: int, **policy: Optional[float]
+) -> MetricSample:
+    """``reps`` runs of ``base`` (seeds ``seed + r``), folded into a sample."""
+    ((results, seconds, retries),) = _run_cells(
+        [(base, range(seed, seed + reps))], **policy
+    )
+    return _fold_sample(label, base.k, results, seconds, retries)
+
+
 def repeat_schedule_runs(
     k: int,
     schedule_factory: Callable[[int], ProbabilitySchedule],
@@ -414,17 +458,11 @@ def repeat_schedule_runs(
     max_retries: Optional[int] = None,
     batch_size: Optional[int] = None,
 ) -> MetricSample:
-    """Run a non-adaptive schedule ``reps`` times (fast engine under
-    ``auto`` dispatch).
+    """Run a non-adaptive schedule ``reps`` times (repetition ``r`` uses
+    seed ``seed + r``) through :func:`run_grid`, folded into a sample.
 
     ``max_rounds`` maps ``k`` to an explicit horizon; ``None`` defers to
-    the :meth:`RunSpec.resolve_horizon` policy.  The probability table is
-    computed once here and shared with every repetition (and, under
-    ``jobs > 1``, inherited read-only by the worker processes) instead of
-    being rebuilt per run.  Repetitions are submitted in chunks of
-    ``batch_size`` (None = the process default) and fused into single
-    batched-kernel calls when admissible; results are byte-identical for
-    every batch size.
+    the :meth:`RunSpec.resolve_horizon` policy.
     """
     schedule = schedule_factory(k)
     base = RunSpec(
@@ -435,19 +473,11 @@ def repeat_schedule_runs(
         stop=stop,
         max_rounds=max_rounds(k) if max_rounds is not None else None,
     )
-    base = _apply_default_faults(base)
-    prob_table = _warm_tables(base)
-    seeds = [seed + r for r in range(reps)]
-    tasks = [_spec_task(base.with_seed(s)) for s in seeds]
-    fingerprints = None
-    if current_checkpoint() is not None:
-        fingerprints = [base.fingerprint(prob_table=prob_table)] * reps
-    results, seconds, retries = _execute_runs(
-        fingerprints, seeds, tasks,
+    return _repeat_sample(
+        base, label or schedule.name, reps=reps, seed=seed,
         jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
-        batch_bases=[base] * reps, batch_size=batch_size,
+        batch_size=batch_size,
     )
-    return _fold_sample(label or schedule.name, k, results, seconds, retries)
 
 
 def repeat_protocol_runs(
@@ -466,13 +496,9 @@ def repeat_protocol_runs(
     max_retries: Optional[int] = None,
     batch_size: Optional[int] = None,
 ) -> MetricSample:
-    """Run an arbitrary protocol ``reps`` times.
-
-    Under ``auto`` dispatch, lowerable state machines (``AdaptiveNoK``,
-    ``SUniform``, ``GlobalClockUFR``) with oblivious adversaries fuse
-    their repetitions through the compiled stepper's batch kernel;
-    everything else takes the per-run object-engine path.
-    """
+    """Run an arbitrary protocol ``reps`` times through :func:`run_grid`,
+    folded into a sample (lowerable machines fuse on the compiled
+    stepper; everything else runs per run on the object engine)."""
     label = label or getattr(protocol_factory, "protocol_name", "protocol")
     base = RunSpec(
         k=k,
@@ -483,19 +509,11 @@ def repeat_protocol_runs(
         max_rounds=max_rounds(k) if max_rounds is not None else None,
         label=label,
     )
-    base = _apply_default_faults(base)
-    seeds = [seed + r for r in range(reps)]
-    tasks = [_spec_task(base.with_seed(s)) for s in seeds]
-    fingerprints = None
-    if current_checkpoint() is not None:
-        fingerprints = [base.fingerprint()] * reps
-    results, seconds, retries = _execute_runs(
-        fingerprints, seeds, tasks,
+    return _repeat_sample(
+        base, label, reps=reps, seed=seed,
         jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
-        batch_bases=[base] * reps if _batch_fusable(base) else None,
         batch_size=batch_size,
     )
-    return _fold_sample(label, k, results, seconds, retries)
 
 
 def repeat_spec_runs(
@@ -508,154 +526,14 @@ def repeat_spec_runs(
     max_retries: Optional[int] = None,
     batch_size: Optional[int] = None,
 ) -> list[RunResult]:
-    """Execute ``reps`` pre-seeded copies of one spec; raw results, in
-    repetition order (repetition ``r`` uses seed ``seed + r``).
-
-    The record-level sibling of :func:`repeat_schedule_runs` /
-    :func:`repeat_protocol_runs`: drivers that analyse per-station records
-    themselves (the traffic-phase experiment's backlog and windowed-
-    throughput measures) get the :class:`RunResult` list instead of a
-    folded :class:`MetricSample`.  Checkpoint-aware and chunk-batched the
-    same way — schedule-run bases (including admissible traffic specs,
-    which fuse through their packet-level reduction) ride the batched
-    kernel; everything else falls back to per-run dispatch.
-    """
-    base = _apply_default_faults(base)
-    prob_table = _warm_tables(base)
-    seeds = [seed + r for r in range(reps)]
-    tasks = [_spec_task(base.with_seed(s)) for s in seeds]
-    fingerprints = None
-    if current_checkpoint() is not None:
-        fingerprints = [base.fingerprint(prob_table=prob_table)] * reps
-    results, _seconds, _retries = _execute_runs(
-        fingerprints, seeds, tasks,
+    """Raw results of ``reps`` runs of one spec (repetition ``r`` uses seed
+    ``seed + r``): a one-cell :func:`run_grid`."""
+    (results,) = run_grid(
+        [(base, range(seed, seed + reps))],
         jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
-        batch_bases=[base] * reps if _batch_fusable(base) else None,
         batch_size=batch_size,
     )
     return results
-
-
-def sweep_schedule(
-    ks: Sequence[int],
-    schedule_factory: Callable[[int], ProbabilitySchedule],
-    adversary: WakeSchedule,
-    *,
-    reps: int,
-    seed: int,
-    max_rounds: Optional[Callable[[int], int]] = None,
-    switch_off_on_ack: bool = True,
-    stop: StopCondition = StopCondition.ALL_SWITCHED_OFF,
-    label: Optional[str] = None,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> list[MetricSample]:
-    """One :func:`repeat_schedule_runs` per contention size.
-
-    All ``len(ks) * reps`` runs are submitted to the executor as one flat
-    task bag, so parallelism spans sweep points as well as repetitions.
-    Chunked batch submission applies per sweep point (chunks never span
-    configurations — each chunk shares one base spec and one table).
-    """
-    journaling = current_checkpoint() is not None
-    tasks = []
-    labels = []
-    seeds = []
-    batch_bases: list[Optional[RunSpec]] = []
-    fingerprints: Optional[list[str]] = [] if journaling else None
-    for i, k in enumerate(ks):
-        schedule = schedule_factory(k)
-        base = RunSpec(
-            k=k,
-            protocol=schedule,
-            adversary=adversary,
-            switch_off_on_ack=switch_off_on_ack,
-            stop=stop,
-            max_rounds=max_rounds(k) if max_rounds is not None else None,
-        )
-        base = _apply_default_faults(base)
-        prob_table = _warm_tables(base)
-        labels.append(label or schedule.name)
-        if journaling:
-            fingerprints.extend([base.fingerprint(prob_table=prob_table)] * reps)
-        batch_bases.extend([base] * reps)
-        for r in range(reps):
-            seeds.append(run_seed(seed, i, r))
-            tasks.append(_spec_task(base.with_seed(seeds[-1])))
-    results, seconds, retries = _execute_runs(
-        fingerprints, seeds, tasks,
-        jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
-        batch_bases=batch_bases, batch_size=batch_size,
-    )
-    return [
-        _fold_sample(
-            labels[i],
-            k,
-            results[i * reps : (i + 1) * reps],
-            seconds[i * reps : (i + 1) * reps],
-            retries[i * reps : (i + 1) * reps],
-        )
-        for i, k in enumerate(ks)
-    ]
-
-
-def sweep_protocol(
-    ks: Sequence[int],
-    protocol_factory: Callable[[], Protocol],
-    adversary: WakeSchedule | AdaptiveAdversary,
-    *,
-    reps: int,
-    seed: int,
-    max_rounds: Optional[Callable[[int], int]] = None,
-    feedback: FeedbackModel = FeedbackModel.ACK_ONLY,
-    stop: StopCondition = StopCondition.ALL_SWITCHED_OFF,
-    label: str = "",
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-) -> list[MetricSample]:
-    """One :func:`repeat_protocol_runs` per contention size (flat fan-out);
-    compiled-admissible points fuse in chunks, as in :func:`sweep_schedule`."""
-    journaling = current_checkpoint() is not None
-    sample_label = label or getattr(protocol_factory, "protocol_name", "protocol")
-    tasks = []
-    seeds = []
-    batch_bases: list[Optional[RunSpec]] = []
-    fingerprints: Optional[list[str]] = [] if journaling else None
-    for i, k in enumerate(ks):
-        base = RunSpec(
-            k=k,
-            protocol=protocol_factory,
-            adversary=adversary,
-            feedback=feedback,
-            stop=stop,
-            max_rounds=max_rounds(k) if max_rounds is not None else None,
-            label=sample_label,
-        )
-        base = _apply_default_faults(base)
-        if journaling:
-            fingerprints.extend([base.fingerprint()] * reps)
-        batch_bases.extend([base if _batch_fusable(base) else None] * reps)
-        for r in range(reps):
-            seeds.append(run_seed(seed, i, r))
-            tasks.append(_spec_task(base.with_seed(seeds[-1])))
-    results, seconds, retries = _execute_runs(
-        fingerprints, seeds, tasks,
-        jobs=jobs, task_timeout=task_timeout, max_retries=max_retries,
-        batch_bases=batch_bases,
-    )
-    return [
-        _fold_sample(
-            sample_label,
-            k,
-            results[i * reps : (i + 1) * reps],
-            seconds[i * reps : (i + 1) * reps],
-            retries[i * reps : (i + 1) * reps],
-        )
-        for i, k in enumerate(ks)
-    ]
 
 
 def run_pool(

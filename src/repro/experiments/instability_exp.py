@@ -31,8 +31,8 @@ from repro.analysis.backlog import backlog_statistics, backlog_trace
 from repro.baselines.aloha import SlottedAlohaFixed
 from repro.channel.results import StopCondition
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_aloha_instability"]
@@ -63,36 +63,40 @@ def run_aloha_instability(
     rows = []
     traces: dict[str, np.ndarray] = {}
     drain = min(SublinearDecrease.latency_bound_no_ack(k, b), drain_cap)
-    for lam in rates:
-        horizon = int(k / lam) + drain
-        adversary = PoissonSchedule(rate=lam)
+    configs = [
+        (lam, label, schedule, int(k / lam) + drain)
+        for lam in rates
         for label, schedule in (
             (f"Aloha(p={p})", SlottedAlohaFixed(p)),
             (f"SublinearDecrease(b={b})", SublinearDecrease(b)),
-        ):
-            # The horizon is the arrival window plus the drain window —
-            # both experiment parameters, not defaults.
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=adversary,
-                stop=StopCondition.ALL_SWITCHED_OFF,
-                max_rounds=horizon, seed=seed,
-            ))
-            stats = backlog_statistics(result.records, horizon)
-            rows.append(
-                {
-                    "protocol": label,
-                    "arrival_rate": lam,
-                    "delivered_fraction": result.success_count / k,
-                    "backlog_mean": stats["mean"],
-                    "backlog_peak": stats["peak"],
-                    "backlog_final": stats["final"],
-                    "late_slope": stats["late_slope"],
-                }
-            )
-            if lam == max(rates):
-                trace = backlog_trace(result.records, horizon)
-                stride = max(1, horizon // 64)
-                traces[label] = trace[::stride]
+        )
+    ]
+    # The horizon is the arrival window plus the drain window — both
+    # experiment parameters, not defaults.
+    cells = [
+        (RunSpec(
+            k=k, protocol=schedule, adversary=PoissonSchedule(rate=lam),
+            stop=StopCondition.ALL_SWITCHED_OFF, max_rounds=horizon,
+        ), [seed])
+        for lam, _label, schedule, horizon in configs
+    ]
+    for (lam, label, _schedule, horizon), (result,) in zip(configs, run_grid(cells)):
+        stats = backlog_statistics(result.records, horizon)
+        rows.append(
+            {
+                "protocol": label,
+                "arrival_rate": lam,
+                "delivered_fraction": result.success_count / k,
+                "backlog_mean": stats["mean"],
+                "backlog_peak": stats["peak"],
+                "backlog_final": stats["final"],
+                "late_slope": stats["late_slope"],
+            }
+        )
+        if lam == max(rates):
+            trace = backlog_trace(result.records, horizon)
+            stride = max(1, horizon // 64)
+            traces[label] = trace[::stride]
 
     table = render_table(
         ["protocol", "rate", "delivered", "backlog mean", "peak", "final",

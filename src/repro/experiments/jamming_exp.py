@@ -28,8 +28,8 @@ from repro.channel.jamming import RandomJammer, draw_jam_rounds
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_jamming"]
@@ -44,9 +44,10 @@ def run_jamming(
 ) -> ExperimentReport:
     """Latency and completion under random jamming at several rates."""
     adversary = UniformRandomSchedule(span=lambda kk: 2 * kk)
-    rows = []
-    baseline: dict[str, float] = {}
-
+    # (protocol, rate, cells): one grid cell per run for the non-adaptive
+    # protocols (each run draws its own oblivious jam schedule), one cell
+    # of seeded repetitions for the adaptive protocol's stateful jammer.
+    groups = []
     for rate in rates:
         # --- non-adaptive protocols on the fast engine -------------------
         for name, schedule, horizon in (
@@ -59,51 +60,37 @@ def run_jamming(
         ):
             # The horizon is the failure budget the jam rate is judged
             # against, so it stays an explicit experiment parameter.
-            latencies, failures = [], 0
+            cells = []
             for r in range(reps):
                 rng = np.random.default_rng(seed + 13 * r)
                 jam = draw_jam_rounds(rate, horizon, rng)
-                result = execute(RunSpec(
+                cells.append((RunSpec(
                     k=k, protocol=schedule, adversary=adversary,
-                    max_rounds=horizon, seed=seed + r,
+                    max_rounds=horizon,
                     jam_rounds=tuple(int(j) for j in jam),
-                ))
-                if result.completed:
-                    latencies.append(result.max_latency)
-                else:
-                    failures += 1
-            mean = float(np.mean(latencies)) if latencies else float("nan")
-            if rate == 0.0:
-                baseline[name] = mean
-            rows.append(
-                {
-                    "protocol": name, "jam_rate": rate, "latency": mean,
-                    "inflation": mean / baseline[name] if baseline.get(name) else float("nan"),
-                    "failures": failures, "runs": reps,
-                }
-            )
+                ), [seed + r]))
+            groups.append((name, rate, cells))
 
         # --- the adaptive protocol on the object engine -------------------
-        latencies, failures = [], 0
-        for r in range(max(2, reps // 2)):
-            result = execute(RunSpec(
-                k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
-                max_rounds=600 * k + 8192, seed=seed + r,
-                jammer=RandomJammer(rate),
-            ))
-            if result.completed:
-                latencies.append(result.max_latency)
-            else:
-                failures += 1
+        groups.append(("AdaptiveNoK", rate, [(RunSpec(
+            k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
+            max_rounds=600 * k + 8192, jammer=RandomJammer(rate),
+        ), [seed + r for r in range(max(2, reps // 2))])]))
+
+    outcomes = iter(run_grid([cell for _, _, cells in groups for cell in cells]))
+    rows = []
+    baseline: dict[str, float] = {}
+    for name, rate, cells in groups:
+        results = [result for _ in cells for result in next(outcomes)]
+        latencies = [result.max_latency for result in results if result.completed]
         mean = float(np.mean(latencies)) if latencies else float("nan")
         if rate == 0.0:
-            baseline["AdaptiveNoK"] = mean
+            baseline[name] = mean
         rows.append(
             {
-                "protocol": "AdaptiveNoK", "jam_rate": rate, "latency": mean,
-                "inflation": mean / baseline["AdaptiveNoK"]
-                if baseline.get("AdaptiveNoK") else float("nan"),
-                "failures": failures, "runs": max(2, reps // 2),
+                "protocol": name, "jam_rate": rate, "latency": mean,
+                "inflation": mean / baseline[name] if baseline.get(name) else float("nan"),
+                "failures": len(results) - len(latencies), "runs": len(results),
             }
         )
 

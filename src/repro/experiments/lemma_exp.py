@@ -29,8 +29,8 @@ from repro.adversary.oblivious import (
 from repro.analysis.sigma import sigma_trace
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_lemma_validation"]
@@ -47,13 +47,14 @@ def _sigma_invariant_rows(k, c, reps, seed):
         StaggeredSchedule(gap=2),
         TwoWavesSchedule(delay=lambda kk: 3 * kk),
     ]
-    for adversary in pool:
+    cells = [
+        (RunSpec(k=k, protocol=schedule, adversary=adversary, max_rounds=horizon),
+         range(seed, seed + reps))
+        for adversary in pool
+    ]
+    for adversary, results in zip(pool, run_grid(cells)):
         fractions, peaks = [], []
-        for r in range(reps):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=adversary,
-                max_rounds=horizon, seed=seed + r,
-            ))
+        for result in results:
             wake = [rec.wake_round for rec in result.records]
             offs = [rec.switch_off_round for rec in result.records]
             last = max(
@@ -93,18 +94,23 @@ def _fact2_rows(k, c, reps, seed):
     attempts = 0
     successes = 0
     rng = np.random.default_rng(seed)
-    for r in range(reps):
-        wake = sorted(int(x) for x in rng.integers(0, 2 * k, size=k))
-        # record_trace forces the object engine through dispatch; the
-        # schedule is wrapped in ScheduleProtocol by the spec.
-        result = execute(RunSpec(
+    wakes = [
+        sorted(int(x) for x in rng.integers(0, 2 * k, size=k)) for _ in range(reps)
+    ]
+    # record_trace forces the object engine through dispatch (and keeps
+    # the runs out of the journal); the schedule is wrapped in
+    # ScheduleProtocol by the spec.
+    cells = [
+        (RunSpec(
             k=k,
             protocol=schedule,
             adversary=FixedSchedule(wake),
             max_rounds=horizon,
-            seed=seed + r,
             record_trace=True,
-        ))
+        ), [seed + r])
+        for r, wake in enumerate(wakes)
+    ]
+    for wake, (result,) in zip(wakes, run_grid(cells)):
         offs = [rec.switch_off_round for rec in result.records]
         trace = sigma_trace(wake, schedule, result.rounds_executed, offs)
         for event in result.trace:

@@ -33,8 +33,8 @@ from repro.adversary.oblivious import StaggeredSchedule
 from repro.analysis.sigma import sigma_hat_trace, success_probability_bound
 from repro.channel.results import StopCondition
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_lower_bound_instance"]
@@ -74,23 +74,26 @@ def run_lower_bound_instance(
     # prefix that J(k) blocks completely.
     trickle_gap = max(1, int(2.0 / p1))
     ik_instance = build_ik_instance(k, p1, tau_small=tau_small, gamma=gamma)
-    rows = []
-    for label, adversary in (
+    instances = (
         ("J(k) adversarial", instance),
         ("I(k) adversarial", ik_instance),
         ("trickle benign", StaggeredSchedule(gap=trickle_gap)),
-    ):
-        for r in range(reps):
-            # The horizon IS the blocked prefix here — the theorem's claim
-            # is about this exact window, so it stays explicit.
-            result = execute(RunSpec(
-                k=k,
-                protocol=schedule,
-                adversary=adversary,
-                max_rounds=prefix,
-                stop=StopCondition.ALL_SWITCHED_OFF,
-                seed=seed + 17 * r,
-            ))
+    )
+    # The horizon IS the blocked prefix here — the theorem's claim is
+    # about this exact window, so it stays explicit.
+    cells = [
+        (RunSpec(
+            k=k,
+            protocol=schedule,
+            adversary=adversary,
+            max_rounds=prefix,
+            stop=StopCondition.ALL_SWITCHED_OFF,
+        ), [seed + 17 * r for r in range(reps)])
+        for _label, adversary in instances
+    ]
+    rows = []
+    for (label, _adversary), results in zip(instances, run_grid(cells)):
+        for r, result in enumerate(results):
             woken = sum(1 for rec in result.records if rec.wake_round < prefix)
             rows.append(
                 {

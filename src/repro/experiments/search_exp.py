@@ -16,8 +16,8 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
 from repro.adversary.search import search_worst_schedule
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_adversary_search"]
@@ -36,38 +36,31 @@ def run_adversary_search(
     # Theorem-derived horizon: the search's fitness is defined against it.
     horizon = 3 * c * k + 4 * k + 4096
 
+    def cell(adversary):
+        base = RunSpec(k=k, protocol=schedule, adversary=adversary, max_rounds=horizon)
+        return base, range(seed, seed + eval_reps)
+
     def evaluate(instance: FixedSchedule) -> float:
-        latencies = []
-        for r in range(eval_reps):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=instance,
-                max_rounds=horizon, seed=seed + r,
-            ))
-            if not result.completed:
-                # An incomplete run is "worse than any latency": steer the
-                # search toward it aggressively.
-                return float(horizon * 2)
-            latencies.append(result.max_latency)
-        return float(np.mean(latencies))
+        (results,) = run_grid([cell(instance)])
+        if not all(result.completed for result in results):
+            # An incomplete run is "worse than any latency": steer the
+            # search toward it aggressively.
+            return float(horizon * 2)
+        return float(np.mean([result.max_latency for result in results]))
 
     outcome = search_worst_schedule(
         k, evaluate, budget=budget, span=4 * k, seed=seed
     )
 
     # Reference points from the standard pool.
-    references = {}
-    for name, adversary in (
-        ("static", StaticSchedule()),
-        ("uniform", UniformRandomSchedule(span=lambda kk: 2 * kk)),
-    ):
-        latencies = []
-        for r in range(eval_reps):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=adversary,
-                max_rounds=horizon, seed=seed + r,
-            ))
-            latencies.append(result.max_latency)
-        references[name] = float(np.mean(latencies))
+    pool = {
+        "static": StaticSchedule(),
+        "uniform": UniformRandomSchedule(span=lambda kk: 2 * kk),
+    }
+    references = {
+        name: float(np.mean([result.max_latency for result in results]))
+        for name, results in zip(pool, run_grid(map(cell, pool.values())))
+    }
 
     rows = [
         {"source": "searched worst", "latency": outcome.score,

@@ -26,27 +26,22 @@ from repro.baselines.hybrid_gfl import HybridEstimateSplit
 from repro.baselines.splitting import SplittingTree
 from repro.channel.feedback import FeedbackModel
 from repro.core.protocols.suniform import SUniform
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_static_constants"]
 
 
-def _measure(k, factory, adversary, feedback, reps, seed, horizon_factor=None):
-    rounds, failures = [], 0
-    for r in range(reps):
-        result = execute(RunSpec(
-            k=k, protocol=factory, adversary=adversary, feedback=feedback,
-            max_rounds=horizon_factor * k + 4096 if horizon_factor else None,
-            seed=seed + r,
-        ))
-        if result.completed:
-            rounds.append(result.rounds_executed)
-        else:
-            failures += 1
+def _cell(k, factory, adversary, feedback, reps, seed):
+    base = RunSpec(k=k, protocol=factory, adversary=adversary, feedback=feedback)
+    return base, [seed + r for r in range(reps)]
+
+
+def _summarise(results):
+    rounds = [result.rounds_executed for result in results if result.completed]
     mean = float(np.mean(rounds)) if rounds else float("nan")
-    return mean, failures
+    return mean, len(results) - len(rounds)
 
 
 def run_static_constants(
@@ -64,31 +59,31 @@ def run_static_constants(
         ("Sawtooth/SUniform (O(k), no CD)", lambda: SUniform(),
          FeedbackModel.ACK_ONLY),
     ]
-    rows = []
+    cells, labels = [], []
     for i, k in enumerate(ks):
         for j, (name, factory, feedback) in enumerate(configs):
-            mean, failures = _measure(
+            cells.append(_cell(
                 k, factory, StaticSchedule(), feedback, reps,
                 seed + 1000 * i + 100 * j,
-            )
-            rows.append(
-                {
-                    "algorithm": name, "workload": "static", "k": k,
-                    "rounds_over_k": mean / k, "failures": failures,
-                }
-            )
+            ))
+            labels.append((name, "static"))
     # The asynchrony check at the largest k: the CD algorithms' phase
     # structure assumes common clocks; a modest wake spread breaks it.
-    k = ks[-1]
     for j, (name, factory, feedback) in enumerate(configs):
-        mean, failures = _measure(
-            k, factory, UniformRandomSchedule(span=lambda kk: kk), feedback,
+        cells.append(_cell(
+            ks[-1], factory, UniformRandomSchedule(span=lambda kk: kk), feedback,
             reps, seed + 7777 + 100 * j,
-        )
+        ))
+        labels.append((name, "async(span=k)"))
+    rows = []
+    for (name, workload), (base, _seeds), results in zip(
+        labels, cells, run_grid(cells)
+    ):
+        mean, failures = _summarise(results)
         rows.append(
             {
-                "algorithm": name, "workload": "async(span=k)", "k": k,
-                "rounds_over_k": mean / k, "failures": failures,
+                "algorithm": name, "workload": workload, "k": base.k,
+                "rounds_over_k": mean / base.k, "failures": failures,
             }
         )
 

@@ -4,7 +4,8 @@ Two scales:
 
 * ``quick`` — minutes: small sweeps, few repetitions; verifies wiring and
   regenerates recognisable shapes;
-* ``paper`` — the configurations the benchmarks use (tens of minutes);
+* ``paper`` — the configurations the benchmarks use (about 4 minutes on
+  a 2-vCPU host, most of it object-engine ``static_constants`` runs);
   regenerates the EXPERIMENTS.md numbers.
 
 ``python -m repro suite --scale quick --out results/`` writes every report

@@ -15,8 +15,8 @@ import numpy as np
 from repro.adversary.oblivious import StaticSchedule
 from repro.analysis.scaling import fit_all
 from repro.core.protocols.suniform import SUniform
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_suniform_static"]
@@ -39,44 +39,23 @@ def run_suniform_static(
     """
     from repro.core.protocols.sawtooth_schedule import SawtoothSchedule
 
+    cells = [
+        (RunSpec(k=k, protocol=lambda: SUniform(), adversary=StaticSchedule()),
+         [seed + 1000 * i + r for r in range(reps)])
+        for i, k in enumerate(ks)
+    ]
+    # Large-k extension via the vectorised dependent-round sampler.
+    cells += [
+        (RunSpec(k=k, protocol=SawtoothSchedule(), adversary=StaticSchedule()),
+         [seed + 5000 * (j + 1) + r for r in range(max(2, reps // 2))])
+        for j, k in enumerate(large_ks)
+    ]
     rows = []
     latencies = []
-    for i, k in enumerate(ks):
+    for (base, _seeds), results in zip(cells, run_grid(cells)):
+        k = base.k
         lat, tx_max, rounds = [], [], []
-        for r in range(reps):
-            result = execute(RunSpec(
-                k=k,
-                protocol=lambda: SUniform(),
-                adversary=StaticSchedule(),
-                seed=seed + 1000 * i + r,
-            ))
-            if not result.completed:
-                continue
-            lat.append(result.max_latency)
-            tx_max.append(max(rec.transmissions for rec in result.records))
-            rounds.append(result.rounds_executed)
-        mean_latency = float(np.mean(lat)) if lat else float("nan")
-        mean_tx = float(np.mean(tx_max)) if tx_max else float("nan")
-        latencies.append(mean_latency)
-        t = float(np.mean(rounds)) if rounds else float("nan")
-        rows.append(
-            {
-                "k": k,
-                "latency_mean": mean_latency,
-                "latency_over_k": mean_latency / k,
-                "max_tx_per_station": mean_tx,
-                "log2^2(T)": math.log2(max(2.0, t)) ** 2,
-            }
-        )
-
-    # Large-k extension via the vectorised dependent-round sampler.
-    for j, k in enumerate(large_ks):
-        lat, tx_max, rounds = [], [], []
-        for r in range(max(2, reps // 2)):
-            result = execute(RunSpec(
-                k=k, protocol=SawtoothSchedule(), adversary=StaticSchedule(),
-                seed=seed + 5000 * (j + 1) + r,
-            ))
+        for result in results:
             if not result.completed:
                 continue
             lat.append(result.max_latency)

@@ -17,8 +17,8 @@ from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_throughput"]
@@ -41,14 +41,17 @@ def run_throughput(
         ("SublinearDecrease", lambda: ScheduleProtocol(SublinearDecrease(4))),
         ("AdaptiveNoK", lambda: AdaptiveNoK()),
     ]
-    for name, factory in configs:
-        # One shared theorem-derived horizon keeps the three timelines
-        # comparable slot-for-slot.
-        result = execute(RunSpec(
-            k=k, protocol=factory, adversary=adversary,
-            max_rounds=SublinearDecrease.latency_bound_no_ack(k, 4) + 8 * k,
-            seed=seed, record_trace=True,
-        ))
+    # One shared theorem-derived horizon keeps the three timelines
+    # comparable slot-for-slot.
+    horizon = SublinearDecrease.latency_bound_no_ack(k, 4) + 8 * k
+    cells = [
+        (RunSpec(
+            k=k, protocol=factory, adversary=adversary, max_rounds=horizon,
+            record_trace=True,
+        ), [seed])
+        for _name, factory in configs
+    ]
+    for (name, _factory), (result,) in zip(configs, run_grid(cells)):
         summary = summarize_throughput(result.trace, window=max(32, gap // 2))
         centres, rates = throughput_timeline(result.trace, window=max(32, gap // 2))
         timelines[name] = (centres, rates)

@@ -16,8 +16,8 @@ from repro.baselines.aloha import SlottedAlohaKnownK
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport, repeat_schedule_runs
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, repeat_schedule_runs, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_tradeoff"]
@@ -78,11 +78,11 @@ def run_tradeoff(
     )
 
     latencies, energies = [], []
-    for r in range(max(2, reps // 2)):
-        result = execute(RunSpec(
-            k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
-            seed=seed + 200 + r,
-        ))
+    (results,) = run_grid([(
+        RunSpec(k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary),
+        range(seed + 200, seed + 200 + max(2, reps // 2)),
+    )])
+    for result in results:
         if result.completed:
             latencies.append(result.max_latency)
             energies.append(result.total_transmissions / k)

@@ -29,8 +29,8 @@ from repro.core.protocols.wakeup_variants import (
     FixedRateWakeup,
     GeometricDecayWakeup,
 )
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport, repeat_schedule_runs
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, repeat_schedule_runs, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_wakeup_variants"]
@@ -84,18 +84,19 @@ def run_wakeup_variants(
     from repro.baselines.willard import WillardSelection
     from repro.channel.feedback import FeedbackModel
 
-    willard_times = []
-    for r in range(reps):
-        result = execute(RunSpec(
+    (willard,) = run_grid([(
+        RunSpec(
             k=k,
             protocol=lambda: WillardSelection(),
             adversary=StaticSchedule(),
             feedback=FeedbackModel.COLLISION_DETECTION,
             stop=StopCondition.FIRST_SUCCESS,
-            seed=seed + 77 + r,
-        ))
-        if result.completed:
-            willard_times.append(result.first_success_round)
+        ),
+        range(seed + 77, seed + 77 + reps),
+    )])
+    willard_times = [
+        result.first_success_round for result in willard if result.completed
+    ]
     rows.append(
         {
             "schedule": "Willard (CD reference)",
@@ -114,18 +115,18 @@ def run_wakeup_variants(
     # has finite probability mass per station (Borel-Cantelli), so under a
     # crowd most stations spend it during the collision phase and then go
     # silent forever; the divergent harmonic schedule never does.
-    starvation_rows = []
-    for schedule_name, schedule in (
+    starvation = (
         ("DecreaseSlowly(q=2)", DecreaseSlowly(2)),
         ("GeometricDecay(.5,.9)", GeometricDecayWakeup(0.5, 0.9)),
-    ):
-        counts = []
-        for r in range(max(3, reps // 2)):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=StaticSchedule(),
-                seed=seed + 99 + r,
-            ))
-            counts.append(result.success_count)
+    )
+    starvation_runs = run_grid(
+        (RunSpec(k=k, protocol=schedule, adversary=StaticSchedule()),
+         range(seed + 99, seed + 99 + max(3, reps // 2)))
+        for _name, schedule in starvation
+    )
+    starvation_rows = []
+    for (schedule_name, _schedule), results in zip(starvation, starvation_runs):
+        counts = [result.success_count for result in results]
         starvation_rows.append(
             {
                 "schedule": schedule_name,

@@ -23,8 +23,8 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import ExperimentReport, run_grid
 from repro.theory.bounds import (
     theorem31_failure_exponent,
     theorem51_light_failure_bound,
@@ -57,10 +57,8 @@ def run_whp_validation(
             k=k, protocol=schedule, adversary=adversary, max_rounds=horizon,
             stop=stop, switch_off_on_ack=switch_off,
         )
-        failures = 0
-        for r in range(runs):
-            if not execute(base.with_seed(seed + r)).completed:
-                failures += 1
+        (results,) = run_grid([(base, range(seed, seed + runs))])
+        failures = sum(1 for result in results if not result.completed)
         low, high = proportion_ci(failures, runs)
         rows.append(
             {

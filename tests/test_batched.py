@@ -53,7 +53,7 @@ from repro.experiments.executor import (
     set_default_batch_size,
     use_batch_size,
 )
-from repro.experiments.harness import repeat_schedule_runs, sweep_schedule
+from repro.experiments.harness import repeat_schedule_runs, run_grid, run_seed
 from tests.test_engine_fuzz import MAX_WAKE, MIN_ROUNDS, DeterministicSchedule
 
 MAX_ROUNDS = 120
@@ -588,22 +588,16 @@ class TestHarnessBatching:
         assert sample_rows(explicit) == sample_rows(defaulted)
 
     def test_sweep_chunks_never_span_configurations(self):
-        kw = dict(reps=7, seed=313)
-        swept = sweep_schedule(
-            (4, 8, 16),
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(),
-            batch_size=64,
-            **kw,
-        )
-        per_run = sweep_schedule(
-            (4, 8, 16),
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(),
-            batch_size=1,
-            **kw,
-        )
-        assert [sample_rows(s) for s in swept] == [sample_rows(s) for s in per_run]
+        cells = [
+            (RunSpec(k, NonAdaptiveWithK(k, 6), UniformRandomSchedule()),
+             [run_seed(313, i, r) for r in range(7)])
+            for i, k in enumerate((4, 8, 16))
+        ]
+        swept = run_grid(cells, batch_size=64)
+        per_run = run_grid(cells, batch_size=1)
+        assert [[canonical(r) for r in results] for results in swept] == [
+            [canonical(r) for r in results] for results in per_run
+        ]
 
     def test_resume_folds_batched_journal_entries(self, tmp_path):
         """Journal entries stay per-(fingerprint, seed) under batching: a

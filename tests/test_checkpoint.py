@@ -71,20 +71,18 @@ class TestConfigFingerprint:
     def test_stable_across_equivalent_instances(self):
         """Fresh objects with equal configuration fingerprint identically —
         the property that makes journal keys survive process restarts."""
-        from repro.experiments.harness import _schedule_fingerprint
+        from repro.core.spec import RunSpec
 
         def fingerprint():
             k, horizon = 16, 200
             schedule = NonAdaptiveWithK(k, 4)
-            return _schedule_fingerprint(
-                k,
-                schedule,
-                FixedSchedule([0, 3]),
-                horizon=horizon,
-                prob_table=schedule.probabilities(horizon),
-                switch_off_on_ack=True,
+            return RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=FixedSchedule([0, 3]),
                 stop=small_run_result().stop,
-            )
+                max_rounds=horizon,
+            ).fingerprint(prob_table=schedule.probabilities(horizon))
 
         assert fingerprint() == fingerprint()
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.base import FixedSchedule
 from repro.adversary.adaptive import WakeOnSuccessAdversary
@@ -542,6 +544,49 @@ def test_runspec_validation():
         schedule_spec(max_rounds=0)
     with pytest.raises(ValueError, match="mutually exclusive"):
         schedule_spec(jammer=RandomJammer(0.1), jam_rounds=(1, 2))
+
+
+#: One invalid value per validated field, as a Hypothesis strategy: wrong
+#: type (TypeError) or out of range (ValueError).
+_INVALID_FIELDS = {
+    "k": st.one_of(
+        st.integers(max_value=0),
+        st.floats(allow_nan=True),
+        st.booleans(),
+        st.text(max_size=3),
+    ),
+    "seed": st.one_of(
+        st.integers(max_value=-1),
+        st.floats(allow_nan=True),
+        st.booleans(),
+        st.text(max_size=3),
+    ),
+    "max_rounds": st.one_of(
+        st.integers(max_value=0),
+        st.floats(allow_nan=True),
+        st.booleans(),
+        st.text(max_size=3),
+    ),
+    "jam_rounds": st.lists(st.integers(1, 500), max_size=5).flatmap(
+        lambda good: st.integers(max_value=0).map(lambda bad: tuple(good) + (bad,))
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted(_INVALID_FIELDS)))
+def test_runspec_rejects_invalid_fields_by_name(data, field):
+    """Bad inputs fail at the spec boundary with a ValueError/TypeError
+    naming the field — never with a numpy error from inside an engine, and
+    never by silently truncating (``seed=1.5`` used to run as seed 1)."""
+    value = data.draw(_INVALID_FIELDS[field])
+    with pytest.raises((TypeError, ValueError), match=rf"\b{field}\b"):
+        schedule_spec(**{field: value})
+
+
+def test_runspec_accepts_numpy_integers():
+    spec = schedule_spec(k=np.int64(16), seed=np.int32(3), max_rounds=np.int64(900))
+    assert spec.with_seed(np.uint8(4)).seed == 4
 
 
 def test_runspec_is_frozen():

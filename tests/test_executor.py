@@ -29,11 +29,13 @@ from repro.experiments.executor import (
     use_failure_policy,
     use_jobs,
 )
+from repro.analysis.metrics import collect
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
     repeat_protocol_runs,
     repeat_schedule_runs,
-    sweep_protocol,
-    sweep_schedule,
+    run_grid,
+    run_seed,
 )
 from repro.experiments.registry import run_experiment
 
@@ -106,6 +108,18 @@ def _rows(samples):
     return [s.row() for s in samples]
 
 
+def _grid_sweep(base_for_k, ks, *, reps, seed, jobs):
+    """One run_grid cell per k (seeds ``run_seed(seed, i, r)``), folded."""
+    cells = [
+        (base_for_k(k), [run_seed(seed, i, r) for r in range(reps)])
+        for i, k in enumerate(ks)
+    ]
+    return [
+        collect(base.display_label, base.k, results)
+        for (base, _seeds), results in zip(cells, run_grid(cells, jobs=jobs))
+    ]
+
+
 def _raw(sample):
     """Every seed-determined field of a MetricSample (timings excluded)."""
     return (
@@ -154,15 +168,14 @@ class TestJobsDeterminism:
         assert _raw(run(1)) == _raw(run(4))
 
     def test_sweep_schedule_jobs_invariant(self):
+        """A run_grid sweep over k (schedule cells) is jobs-invariant."""
+
         def run(jobs):
-            return sweep_schedule(
-                (8, 16, 24),
-                lambda k: NonAdaptiveWithK(k, 4),
-                StaticSchedule(),
-                reps=3,
-                seed=5,
-                max_rounds=lambda k: 40 * k,
-                jobs=jobs,
+            return _grid_sweep(
+                lambda k: RunSpec(
+                    k, NonAdaptiveWithK(k, 4), StaticSchedule(), max_rounds=40 * k
+                ),
+                (8, 16, 24), reps=3, seed=5, jobs=jobs,
             )
 
         serial, parallel = run(1), run(4)
@@ -170,15 +183,14 @@ class TestJobsDeterminism:
         assert [_raw(s) for s in serial] == [_raw(s) for s in parallel]
 
     def test_sweep_protocol_jobs_invariant(self):
+        """A run_grid sweep over k (protocol-factory cells) is jobs-invariant."""
+
         def run(jobs):
-            return sweep_protocol(
-                (4, 8),
-                lambda: SUniform(),
-                StaticSchedule(),
-                reps=2,
-                seed=11,
-                max_rounds=lambda k: 64 * k,
-                jobs=jobs,
+            return _grid_sweep(
+                lambda k: RunSpec(
+                    k, lambda: SUniform(), StaticSchedule(), max_rounds=64 * k
+                ),
+                (4, 8), reps=2, seed=11, jobs=jobs,
             )
 
         assert _rows(run(1)) == _rows(run(4))

@@ -1,26 +1,44 @@
-"""Tests for the experiment harness (repeat/sweep helpers)."""
+"""Tests for the experiment harness (run_grid and the repeat helpers)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.adversary.adaptive import DripFeedAdversary
+from repro.analysis.metrics import collect
 from repro.adversary.oblivious import StaticSchedule
 from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.suniform import SUniform
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
     SEED_STRIDE,
     ExperimentReport,
     config_seed,
     repeat_protocol_runs,
     repeat_schedule_runs,
+    run_grid,
     run_seed,
-    sweep_protocol,
-    sweep_schedule,
     worst_sample,
 )
+
+
+def grid_sweep(base_for_k, ks, *, reps, seed):
+    """One run_grid cell per k (seeds ``run_seed(seed, i, r)``), folded
+    into one sample per k."""
+    cells = [
+        (base_for_k(k), [run_seed(seed, i, r) for r in range(reps)])
+        for i, k in enumerate(ks)
+    ]
+    return [
+        collect(base.display_label, base.k, results)
+        for (base, _seeds), results in zip(cells, run_grid(cells))
+    ]
+
+
+def ladder(k):
+    return RunSpec(k, NonAdaptiveWithK(k, 4), StaticSchedule(), max_rounds=40 * k)
 
 
 class TestRepeatScheduleRuns:
@@ -84,10 +102,7 @@ class TestRepeatProtocolRuns:
 
 class TestSweeps:
     def test_sweep_schedule_one_sample_per_k(self):
-        samples = sweep_schedule(
-            (8, 16), lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-            reps=2, seed=4, max_rounds=lambda k: 40 * k,
-        )
+        samples = grid_sweep(ladder, (8, 16), reps=2, seed=4)
         assert [s.k for s in samples] == [8, 16]
 
     def test_sweep_protocol_one_sample_per_k(self):
@@ -96,9 +111,11 @@ class TestSweeps:
 
         def sweep(batch_size):
             with use_batch_size(batch_size):
-                return sweep_protocol(
-                    (4, 8), lambda: SUniform(), StaticSchedule(),
-                    reps=3, seed=5, max_rounds=lambda k: 64 * k,
+                return grid_sweep(
+                    lambda k: RunSpec(
+                        k, lambda: SUniform(), StaticSchedule(), max_rounds=64 * k
+                    ),
+                    (4, 8), reps=3, seed=5,
                 )
 
         def metrics(sample):
@@ -116,7 +133,7 @@ class TestSweeps:
             telemetry.disable()
             telemetry.reset()
         assert [s.k for s in samples] == [4, 8]
-        # SUniform lowers onto the compiled stepper, so each sweep point's
+        # SUniform lowers onto the compiled stepper, so each cell's
         # repetitions fuse into one batch, with per-run results unchanged.
         assert fused == 6
         assert [metrics(s) for s in samples] == [
@@ -124,16 +141,75 @@ class TestSweeps:
         ]
 
     def test_sweep_seeds_differ_by_k(self):
-        # Different ks get decorrelated seeds (SEED_STRIDE apart): the
+        # Different cells get decorrelated seeds (SEED_STRIDE apart): the
         # latency sequences should not be identical when k is identical by
-        # construction of two single-k sweeps with different indices.
-        a = sweep_schedule(
-            (8, 8), lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-            reps=2, seed=6, max_rounds=lambda k: 40 * k,
-        )
+        # construction of two single-k cells with different indices.
+        a = grid_sweep(ladder, (8, 8), reps=2, seed=6)
         assert a[0].max_latency != a[1].max_latency or (
             a[0].energy != a[1].energy
         )
+
+
+class TestRunGrid:
+    def test_results_in_cell_and_seed_order(self):
+        cells = [(ladder(8), [3, 1]), (ladder(16), []), (ladder(8), [1])]
+        out = run_grid(cells)
+        assert [len(results) for results in out] == [2, 0, 1]
+        assert [r.seed for r in out[0]] == [3, 1]
+        assert out[0][1].records == out[2][0].records
+
+    def test_matches_one_execute_per_run(self):
+        from repro.engine import execute
+
+        base = ladder(12)
+        (grid,) = run_grid([(base, range(20, 25))])
+        assert [r.records for r in grid] == [
+            execute(base.with_seed(s)).records for s in range(20, 25)
+        ]
+
+    def test_large_repetitions_are_not_fused(self, monkeypatch):
+        """A base whose estimated repetition exceeds FUSED_CHUNK_BYTES runs
+        one repetition per task (peak memory stays one repetition's)."""
+        from repro.experiments import harness
+        from repro.telemetry import registry as telemetry
+
+        cells = [(ladder(12), range(6))]
+        fused = run_grid(cells)
+        monkeypatch.setattr(harness, "FUSED_CHUNK_BYTES", 1)
+        telemetry.enable()
+        try:
+            alone = run_grid(cells)
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert counters.get("engine.batch_fused_runs", 0) == 0
+        assert counters["executor.tasks"] == 6
+        assert [r.records for r in alone[0]] == [r.records for r in fused[0]]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises((TypeError, ValueError), match="seed"):
+            run_grid([(ladder(8), [0, seed])])
+
+    def test_trace_runs_are_never_journaled(self, tmp_path):
+        from repro.experiments.checkpoint import CheckpointJournal, use_checkpoint
+        from repro.telemetry import registry as telemetry
+
+        traced = RunSpec(8, NonAdaptiveWithK(8, 4), StaticSchedule(),
+                         max_rounds=320, record_trace=True)
+        journal = CheckpointJournal.for_experiment(tmp_path, "grid")
+        telemetry.enable()
+        try:
+            with use_checkpoint(journal):
+                out = run_grid([(traced, [1, 2]), (ladder(8), [1])])
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert all(r.trace for r in out[0])
+        assert journal.records_written == 1
+        assert counters["harness.runs_unjournaled"] == 2
 
 
 class TestSeedSpacing:
