@@ -109,6 +109,20 @@ test "$(ls /tmp/repro-check/serial/*.txt | wc -l)" -eq 27
 diff -r -x SUMMARY.md /tmp/repro-check/serial /tmp/repro-check/jobs2
 diff -r -x SUMMARY.md /tmp/repro-check/serial /tmp/repro-check/replay
 
+echo "== faulted quick suite: resume byte identity =="
+# The default fault flags reach every experiment (fifo traffic included):
+# a noisy, ack-lossy quick suite into a fresh journal, then its replay,
+# must write byte-identical reports.  Energy budgets are left out: they
+# force the object engine and make the quick suite run for minutes.
+python3 -m repro suite --scale quick --noise 0.05 --ack-loss 0.05 \
+    --out /tmp/repro-check/faulted --resume /tmp/repro-check/journal-faulted \
+    >/dev/null
+python3 -m repro suite --scale quick --noise 0.05 --ack-loss 0.05 \
+    --out /tmp/repro-check/faulted-replay \
+    --resume /tmp/repro-check/journal-faulted >/dev/null
+test "$(ls /tmp/repro-check/faulted/*.txt | wc -l)" -eq 27
+diff -r -x SUMMARY.md /tmp/repro-check/faulted /tmp/repro-check/faulted-replay
+
 echo "== crash-safe resume check =="
 python3 -m repro run thm51_wakeup --jobs 2 --task-timeout 300 --max-retries 2 \
     --resume /tmp/repro-check/resume --ks 16,32 --reps 2 >/dev/null

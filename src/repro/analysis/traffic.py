@@ -3,7 +3,7 @@
 The dynamic-arrival experiments ask the ALOHA-era question of Section
 1.1: below which injection rate does a protocol keep up?  These helpers
 turn one packet-level :class:`~repro.channel.results.RunResult` (from
-either the free-discipline reduction or the FIFO queue engine) into the
+either the free-discipline reduction or FIFO queueing) into the
 steady-state observables the phase diagram is built from:
 
 * windowed **delivery rate** (deliveries per round), the traffic analogue
@@ -44,9 +44,9 @@ def packet_records(
     """The real packets of a traffic run: records woken inside the horizon.
 
     The free-discipline reduction pads each run to a seed-independent
-    capacity with phantom stations at ``horizon + 1``; the FIFO engine
-    emits no phantoms.  Filtering on ``wake_round <= horizon`` makes both
-    engines' outputs comparable record-for-record.
+    capacity with phantom stations at ``horizon + 1``; FIFO runs emit no
+    phantoms.  Filtering on ``wake_round <= horizon`` makes both
+    disciplines' outputs comparable record-for-record.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -26,7 +26,6 @@ from repro.channel.trace_tools import (
 )
 from repro.channel.traffic import (
     ArrivalWakeSchedule,
-    QueueSimulator,
     draw_packets,
     traffic_reduction,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "VectorizedSimulator",
     "hazard_table",
     "ArrivalWakeSchedule",
-    "QueueSimulator",
     "draw_packets",
     "traffic_reduction",
 ]

@@ -13,22 +13,24 @@ schedules prefer :mod:`repro.channel.vectorized`.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from typing import Optional, Union
 
-from repro.adversary.base import AdaptiveAdversary, WakeSchedule
+from repro.adversary.base import AdaptiveAdversary, ArrivalProcess, WakeSchedule
 from repro.channel.events import RoundEvent, RoundOutcome
 from repro.channel.feedback import FeedbackModel, make_observation
 from repro.channel.results import RunResult, StopCondition
+from repro.channel.traffic import _FifoQueues
 from repro.core.protocol import Protocol
-from repro.core.station import Station
+from repro.core.station import Station, StationRecord
 from repro.telemetry import registry as telemetry
 from repro.util.rng import RngFactory
 
 __all__ = ["SlotSimulator", "default_max_rounds"]
 
 ProtocolFactory = Callable[[], Protocol]
-Adversary = Union[WakeSchedule, AdaptiveAdversary]
+Adversary = Union[WakeSchedule, AdaptiveAdversary, ArrivalProcess]
 
 
 def default_max_rounds(k: int) -> int:
@@ -37,16 +39,83 @@ def default_max_rounds(k: int) -> int:
     return 400 * k + 20_000
 
 
+class _OnePacketPerStation:
+    """Station source of the classic model: ``k`` one-packet stations.
+
+    A :class:`WakeSchedule` fixes every wake round up front (drawn from
+    the adversary stream); an :class:`AdaptiveAdversary` decides online
+    from the history, and whoever is still asleep at its deadline is
+    force-woken.  Each woken station draws the next station generator.
+
+    The round loop reads every source the same way: ``arrive(t,
+    history)`` at the start of round ``t``, ``active`` for the stations
+    that decide and observe, ``retire(t)`` for how many contenders it
+    resolved, ``total`` for the stop rule and ``records()`` at the end.
+    """
+
+    def __init__(self, k, protocol_factory, adversary, horizon, adversary_rng,
+                 next_rng):
+        self.total = k
+        self.active: list[Station] = []
+        self._stations: list[Station] = []
+        self._factory = protocol_factory
+        self._next_rng = next_rng
+        self._adversary = adversary
+        self._adaptive = isinstance(adversary, AdaptiveAdversary)
+        if self._adaptive:
+            adversary.begin(k, adversary_rng)
+            self._deadline = adversary.deadline(k)
+        else:
+            rounds = adversary.wake_rounds(k, adversary_rng)
+            if len(rounds) != k:
+                raise ValueError(
+                    f"adversary produced {len(rounds)} wake rounds for k={k}"
+                )
+            self._pending_by_round = Counter(int(r) for r in rounds)
+
+    def arrive(self, t: int, history: list[RoundEvent]) -> None:
+        woken = len(self._stations)
+        if woken >= self.total:
+            return
+        if self._adaptive:
+            want = self._adversary.wake_now(t, history)
+            if t >= self._deadline:
+                want = self.total - woken
+        else:
+            want = self._pending_by_round.pop(t, 0)
+        for _ in range(min(want, self.total - woken)):
+            station = Station(
+                station_id=len(self._stations),
+                wake_round=t,
+                protocol=self._factory(),
+                rng=self._next_rng(),
+            )
+            self._stations.append(station)
+            self.active.append(station)
+
+    def retire(self, t: int) -> int:
+        still_active = [s for s in self.active if s.active]
+        resolved = len(self.active) - len(still_active)
+        self.active = still_active
+        return resolved
+
+    def records(self) -> list[StationRecord]:
+        return [s.record() for s in self._stations]
+
+
 class SlotSimulator:
     """Simulate one execution of a protocol under an adversary.
 
     Args:
-        k: number of contending stations.
+        k: number of contending stations (station queues when the
+            adversary is an arrival process).
         protocol_factory: zero-argument callable producing a fresh
             :class:`Protocol` per station (stations are identical copies, as
             the paper's anonymity demands).
         adversary: a :class:`WakeSchedule` (oblivious) or
-            :class:`AdaptiveAdversary` (online).
+            :class:`AdaptiveAdversary` (online) waking ``k`` one-packet
+            stations, or an :class:`ArrivalProcess` feeding ``k`` FIFO
+            queues whose head-of-line packets contend (``fifo`` traffic).
         feedback: channel feedback model; the paper's protocols use ACK_ONLY.
         stop: when the run counts as complete.
         max_rounds: hard horizon; None picks :func:`default_max_rounds`.
@@ -108,75 +177,42 @@ class SlotSimulator:
             if self.faults.energy_budget is not None:
                 energy_cap = self.faults.energy_budget.charges
 
-        adaptive = isinstance(self.adversary, AdaptiveAdversary)
-        if adaptive:
-            self.adversary.begin(self.k, adversary_rng)
-            wake_deadline = self.adversary.deadline(self.k)
-            pending_by_round: dict[int, int] = {}
-        else:
-            rounds = self.adversary.wake_rounds(self.k, adversary_rng)
-            if len(rounds) != self.k:
-                raise ValueError(
-                    f"adversary produced {len(rounds)} wake rounds for k={self.k}"
-                )
-            pending_by_round = {}
-            for r in rounds:
-                pending_by_round[int(r)] = pending_by_round.get(int(r), 0) + 1
-            wake_deadline = max(rounds) if rounds else 0
-
-        stations: list[Station] = []
-        active: list[Station] = []
+        source_type = (
+            _FifoQueues if isinstance(self.adversary, ArrivalProcess)
+            else _OnePacketPerStation
+        )
+        source = source_type(
+            self.k,
+            self.protocol_factory,
+            self.adversary,
+            self.max_rounds,
+            adversary_rng,
+            rng_factory.next_generator,
+        )
         history: list[RoundEvent] = []
-        woken = 0
         succeeded = 0
-        switched_off = 0
-
-        def wake(count: int, at_round: int) -> None:
-            nonlocal woken
-            count = min(count, self.k - woken)
-            for _ in range(count):
-                station = Station(
-                    station_id=len(stations),
-                    wake_round=at_round,
-                    protocol=self.protocol_factory(),
-                    rng=rng_factory.next_generator(),
-                )
-                stations.append(station)
-                active.append(station)
-                woken += 1
+        resolved = 0
 
         def stop_met() -> bool:
             if self.stop is StopCondition.FIRST_SUCCESS:
                 return succeeded >= 1
-            if woken < self.k:
-                return False
             if self.stop is StopCondition.ALL_SUCCEEDED:
-                return succeeded >= self.k
-            return switched_off >= self.k
+                return succeeded >= source.total
+            return resolved >= source.total
 
         # Sampled round tracing: 0 (the disabled default) keeps the hot
         # loop's telemetry cost to one integer truthiness check per round.
         sample = telemetry.trace_sample()
 
-        # Round 0 wakes (stations present "from the very beginning").
-        if adaptive:
-            wake(self.adversary.wake_now(0, history), 0)
-        elif 0 in pending_by_round:
-            wake(pending_by_round.pop(0), 0)
+        # Round 0 arrivals (stations present "from the very beginning").
+        source.arrive(0, history)
 
         t = 0
         while t < self.max_rounds:
             t += 1
-            # 1. Adversary wakes stations at the start of round t.
-            if woken < self.k:
-                if adaptive:
-                    want = self.adversary.wake_now(t, history)
-                    if t >= wake_deadline:
-                        want = self.k - woken
-                    if want > 0:
-                        wake(want, t)
-                elif t in pending_by_round:
-                    wake(pending_by_round.pop(t), t)
+            # 1. Contenders arrive at the start of round t.
+            source.arrive(t, history)
+            active = source.active
 
             # 2. Collect decisions from stations with local round >= 1.
             transmitters: list[tuple[Station, object]] = []
@@ -233,7 +269,6 @@ class SlotSimulator:
                         "outcome": outcome.name,
                         "transmitters": m,
                         "active": len(active),
-                        "woken": woken,
                         "jammed": jammed,
                     },
                 )
@@ -273,9 +308,7 @@ class SlotSimulator:
                         stations_exhausted += 1
 
             # 5. Retire switched-off stations.
-            still_active = [s for s in active if s.active]
-            switched_off += len(active) - len(still_active)
-            active = still_active
+            resolved += source.retire(t)
 
             if stop_met():
                 break
@@ -301,7 +334,7 @@ class SlotSimulator:
                 telemetry.count("fault.acks_dropped", acks_dropped)
                 telemetry.count("fault.stations_exhausted", stations_exhausted)
         return RunResult(
-            records=[s.record() for s in stations],
+            records=source.records(),
             rounds_executed=t,
             completed=completed,
             stop=self.stop,

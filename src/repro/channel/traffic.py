@@ -1,4 +1,4 @@
-"""Dynamic-arrival traffic: the reduction and the FIFO queue engine.
+"""Dynamic-arrival traffic: the reduction and the FIFO station source.
 
 The classic model of this repository wakes exactly ``k`` one-packet
 stations.  A *traffic* :class:`~repro.core.spec.RunSpec` instead has ``k``
@@ -22,7 +22,11 @@ stability.  Two queue disciplines are supported:
 * ``fifo`` — each station transmits only its head-of-line packet; the
   next packet's protocol starts when it reaches the head.  That coupling
   is history-dependent (who is head depends on past channel outcomes), so
-  it runs only on :class:`QueueSimulator`, this module's object engine.
+  it runs only on the object engine:
+  :class:`~repro.channel.simulator.SlotSimulator` takes the arrival
+  process as its adversary and draws its contenders from this module's
+  FIFO station source — the same round loop, faults included, as the
+  classic one-packet-per-station model.
 
 Both disciplines draw the *same* packet realisation from the same
 adversary stream (generator #0 of ``RngFactory(seed)``), so per-seed
@@ -33,25 +37,21 @@ for analysis without touching engine internals.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
-from repro.channel.events import RoundEvent, RoundOutcome
-from repro.channel.feedback import make_observation
-from repro.channel.jamming import ScheduledJammer
-from repro.channel.results import RunResult, StopCondition
 from repro.adversary.base import WakeSchedule
+from repro.channel.events import RoundEvent
 from repro.core.spec import RunSpec
-from repro.core.station import QueuedStation, StationRecord
-from repro.telemetry import registry as telemetry
+from repro.core.station import Station, StationRecord
 from repro.util.rng import RngFactory
 
 __all__ = [
     "ArrivalWakeSchedule",
     "traffic_reduction",
     "draw_packets",
-    "QueueSimulator",
 ]
 
 
@@ -121,160 +121,93 @@ def draw_packets(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
     return spec.arrivals.draw(spec.k, spec.resolve_horizon(), rng)
 
 
-class QueueSimulator:
-    """Object engine for ``fifo`` queued traffic.
+class _FifoQueues:
+    """Station source for ``fifo`` traffic: one packet queue per station.
 
-    The slot loop mirrors :class:`~repro.channel.simulator.SlotSimulator`
-    (same RNG fan-out: generator #0 to the arrival draw, one per packet
-    protocol in promotion order, jammer stream in between — so a FIFO run
-    whose queues never hold two packets is byte-identical to the free
-    reduction for deterministic schedules).  Records are per *packet*, in
-    arrival order, with ``wake_round`` = arrival round.
+    Arrivals are drawn up front from the adversary stream.  Each queue
+    exposes only its head-of-line packet as a contender (a fresh
+    :class:`~repro.core.station.Station` running its own protocol, woken
+    the round it reaches the head and drawing the next station generator
+    then); trailing packets touch neither the channel nor any RNG.  A head
+    that switches off — delivered or abandoned — is replaced by the next
+    packet in the same round, so energy budgets and faults apply per
+    packet.  Records are per packet, in packet (arrival) order, with
+    ``wake_round`` = the arrival round, so queueing delay counts toward
+    latency exactly as in the free reduction.
+
+    Same interface as the classic one-packet-per-station source of
+    :mod:`repro.channel.simulator`: ``arrive``, ``active``, ``retire``,
+    ``total`` and ``records``.
     """
 
-    def __init__(self, spec: RunSpec):
-        if not spec.is_traffic_run:
-            raise ValueError("QueueSimulator needs a traffic RunSpec")
-        if spec.queue_discipline != "fifo":
-            raise ValueError(
-                "QueueSimulator implements the fifo discipline; "
-                "free-discipline traffic runs through traffic_reduction"
+    def __init__(self, k, protocol_factory, arrivals, horizon, adversary_rng,
+                 next_rng):
+        self._arrival_rounds, origins = arrivals.draw(k, horizon, adversary_rng)
+        self.total = int(self._arrival_rounds.size)
+        self._by_round: dict[int, list[tuple[int, int]]] = {}
+        for packet_id, r in enumerate(self._arrival_rounds):
+            self._by_round.setdefault(int(r), []).append(
+                (packet_id, int(origins[packet_id]))
             )
-        self.spec = spec
+        self._factory = protocol_factory
+        self._next_rng = next_rng
+        self._waiting: list[deque[int]] = [deque() for _ in range(k)]
+        self._heads: list[Optional[Station]] = [None] * k
+        self._records: dict[int, StationRecord] = {}
+        self.active: list[Station] = []
 
-    def run(self) -> RunResult:
-        spec = self.spec
-        horizon = spec.resolve_horizon()
-        rng_factory = RngFactory(spec.seed)
-        adversary_rng = rng_factory.next_generator()
-        jammer = spec.jammer
-        if jammer is None and spec.jam_rounds is not None:
-            jammer = ScheduledJammer(spec.jam_rounds)
-        if jammer is not None:
-            jammer.begin(rng_factory.next_generator())
+    def arrive(self, t: int, history: list[RoundEvent]) -> None:
+        packets = self._by_round.pop(t, None)
+        if packets is None:
+            return
+        for packet_id, queue in packets:
+            self._waiting[queue].append(packet_id)
+            if self._heads[queue] is None:
+                self._promote(queue, t)
+        self.active = [h for h in self._heads if h is not None]
 
-        arr_rounds, arr_origins = spec.arrivals.draw(
-            spec.k, horizon, adversary_rng
+    def _promote(self, queue: int, t: int) -> None:
+        waiting = self._waiting[queue]
+        self._heads[queue] = (
+            Station(
+                station_id=waiting.popleft(),
+                wake_round=t,
+                protocol=self._factory(),
+                rng=self._next_rng(),
+            )
+            if waiting
+            else None
         )
-        n_packets = int(arr_rounds.size)
-        by_round: dict[int, list[int]] = {}
-        for packet_id, r in enumerate(arr_rounds):
-            by_round.setdefault(int(r), []).append(packet_id)
 
-        factory = spec.protocol_factory
-        queues = [
-            QueuedStation(i, factory, rng_factory.next_generator)
-            for i in range(spec.k)
-        ]
-        records: dict[int, StationRecord] = {}
-        history: list[RoundEvent] = []
-        delivered_count = 0
+    def retire(self, t: int) -> int:
         resolved = 0
+        for queue, head in enumerate(self._heads):
+            if head is not None and not head.active:
+                self._record(head)
+                self._promote(queue, t)
+                resolved += 1
+        if resolved:
+            self.active = [h for h in self._heads if h is not None]
+        return resolved
 
-        def admit(at_round: int) -> None:
-            for packet_id in by_round.pop(at_round, ()):
-                queues[int(arr_origins[packet_id])].enqueue(packet_id, at_round)
+    def _record(self, head: Station) -> None:
+        record = head.record()
+        record.wake_round = int(self._arrival_rounds[head.station_id])
+        self._records[head.station_id] = record
 
-        def stop_met() -> bool:
-            if spec.stop is StopCondition.FIRST_SUCCESS:
-                return delivered_count >= 1
-            if spec.stop is StopCondition.ALL_SUCCEEDED:
-                return delivered_count >= n_packets
-            return resolved >= n_packets
-
-        admit(0)
-        t = 0
-        while t < horizon:
-            t += 1
-            # 1. Packets arriving at the start of round t join their queue.
-            admit(t)
-
-            # 2. Heads with local round >= 1 decide.
-            transmitters: list[tuple[QueuedStation, object]] = []
-            for queue in queues:
-                head = queue.head
-                if head is None or head.local_round(t) < 1:
-                    continue
-                decision = head.decide(t)
-                if decision is not None:
-                    transmitters.append((queue, decision.payload))
-
-            # 3. Resolve the channel (jam semantics match SlotSimulator:
-            # a jam in an empty round destroys nothing).
-            m = len(transmitters)
-            jammed = jammer is not None and jammer.jams(t, history)
-            if jammed and m > 0:
-                outcome = RoundOutcome.COLLISION
-            else:
-                outcome = RoundOutcome.from_transmitter_count(m)
-            winner: Optional[QueuedStation] = None
-            delivered: Optional[object] = None
-            if outcome is RoundOutcome.SUCCESS:
-                winner, delivered = transmitters[0]
-
-            history.append(
-                RoundEvent(
-                    round_index=t,
-                    outcome=outcome,
-                    transmitter_count=m,
-                    winner=(
-                        winner.head.station_id if winner is not None else None
-                    ),
-                    message=delivered,
-                    jammed=jammed,
+    def records(self) -> list[StationRecord]:
+        """Every packet's record: resolved heads, the live heads as-is,
+        and the still-waiting packets untouched."""
+        for head in self._heads:
+            if head is not None:
+                self._record(head)
+        for waiting in self._waiting:
+            for packet_id in waiting:
+                self._records[packet_id] = StationRecord(
+                    station_id=packet_id,
+                    wake_round=int(self._arrival_rounds[packet_id]),
+                    first_success_round=None,
+                    switch_off_round=None,
+                    transmissions=0,
                 )
-            )
-
-            # 4. Observations to every head active this round.
-            transmitted_ids = {q.head.station_id for q, _ in transmitters}
-            for queue in queues:
-                head = queue.head
-                if head is None or head.local_round(t) < 1:
-                    continue
-                obs = make_observation(
-                    local_round=head.local_round(t),
-                    transmitted=head.station_id in transmitted_ids,
-                    outcome=outcome,
-                    is_winner=winner is not None and queue is winner,
-                    delivered=delivered,
-                    model=spec.feedback,
-                )
-                # Deliveries count at the success round (SlotSimulator
-                # semantics), not at head retirement — FIRST_SUCCESS /
-                # ALL_SUCCEEDED stop the moment the ack lands.
-                was_succeeded = head.first_success_round is not None
-                head.observe(obs, t)
-                if head.first_success_round is not None and not was_succeeded:
-                    delivered_count += 1
-
-            # 5. Retire switched-off heads; the next packet becomes head
-            # this round (it may first transmit at t + 1).
-            for queue in queues:
-                record = queue.finish_head_if_done(t)
-                if record is not None:
-                    records[record.station_id] = record
-                    resolved += 1
-
-            if stop_met():
-                break
-
-        completed = stop_met()
-        for queue in queues:
-            for record in queue.drain():
-                records[record.station_id] = record
-
-        if telemetry.enabled():
-            telemetry.count("traffic.runs")
-            telemetry.count("traffic.rounds", t)
-            telemetry.count("traffic.packets", n_packets)
-            telemetry.count("traffic.delivered", delivered_count)
-        return RunResult(
-            records=[records[pid] for pid in sorted(records)],
-            rounds_executed=t,
-            completed=completed,
-            stop=spec.stop,
-            trace=history if spec.record_trace else None,
-            seed=spec.seed,
-            protocol_name=getattr(factory, "protocol_name", ""),
-            adversary_name=spec.arrivals.name,
-        )
+        return [self._records[pid] for pid in sorted(self._records)]

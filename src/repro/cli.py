@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
             energy_budget=args.energy_budget,
             **overrides,
         )
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
     print(report.text)

@@ -172,7 +172,7 @@ class RunSpec:
             noise, ack loss, and/or per-station energy budgets; ``None``
             (the default) is the paper's ideal channel.  Oblivious
             noise/ack-loss runs on every engine; energy budgets force the
-            object engine.  Not supported with ``fifo`` queueing.
+            object engine.
         seed: base seed for all randomness (None = OS entropy; such a spec
             cannot be journaled).
         label: reporting label; folded into protocol-run fingerprints to
@@ -256,16 +256,10 @@ class RunSpec:
                     f"jam_rounds are global rounds (>= 1), got {jammed[0]}"
                 )
             object.__setattr__(self, "jam_rounds", jammed)
-        if self.faults is not None:
-            if not isinstance(self.faults, FaultModel):
-                raise TypeError(
-                    f"faults must be a FaultModel, got {type(self.faults).__name__}"
-                )
-            if self.arrivals is not None and self.queue_discipline == "fifo":
-                raise ValueError(
-                    "faults are not supported with fifo queueing: the queue "
-                    "simulator has no fault path; use the free discipline"
-                )
+        if self.faults is not None and not isinstance(self.faults, FaultModel):
+            raise TypeError(
+                f"faults must be a FaultModel, got {type(self.faults).__name__}"
+            )
 
     # ------------------------------------------------------------------ kind
 

@@ -9,16 +9,14 @@ available to protocol *logic* beyond tagging the data packet's origin.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.protocol import Protocol, Transmission
 
-__all__ = ["Station", "StationRecord", "QueuedStation"]
+__all__ = ["Station", "StationRecord"]
 
 
 @dataclass(slots=True)
@@ -124,105 +122,3 @@ class Station:
             transmissions=self.transmissions,
             listening_slots=self.listening_slots,
         )
-
-
-class QueuedStation:
-    """One station owning a FIFO packet queue (dynamic-arrival traffic).
-
-    Under the ``fifo`` discipline a station transmits only on behalf of its
-    *head-of-line* packet: the head runs a fresh protocol instance (the
-    packet is the anonymous contender of the base model; the station is its
-    serialisation point), starting its local clock when it reaches the
-    head.  Trailing packets wait, touching neither the channel nor any
-    RNG.  The head leaves the queue when its protocol switches off —
-    delivered (ack) or abandoned (e.g. its schedule horizon ran out) — and
-    the next packet is promoted the same round.
-
-    Per-packet records keep ``wake_round`` = the packet's *arrival* round,
-    so queueing delay counts toward latency and backlog, matching the
-    free-discipline (reduction) view of the same traffic.
-    """
-
-    __slots__ = ("station_id", "_factory", "_rng_source", "_waiting", "head",
-                 "_head_arrival", "_head_packet")
-
-    def __init__(
-        self,
-        station_id: int,
-        protocol_factory: Callable[[], Protocol],
-        rng_source: Callable[[], np.random.Generator],
-    ):
-        self.station_id = station_id
-        self._factory = protocol_factory
-        self._rng_source = rng_source
-        self._waiting: deque[tuple[int, int]] = deque()
-        self.head: Optional[Station] = None
-        self._head_arrival: Optional[int] = None
-        self._head_packet: Optional[int] = None
-
-    @property
-    def backlog(self) -> int:
-        """Packets at this station not yet resolved (head included)."""
-        return len(self._waiting) + (1 if self.head is not None else 0)
-
-    def enqueue(self, packet_id: int, arrival_round: int) -> None:
-        """A packet arrives (and becomes head immediately if none is live)."""
-        self._waiting.append((packet_id, arrival_round))
-        if self.head is None:
-            self._promote(arrival_round)
-
-    def _promote(self, at_round: int) -> None:
-        if not self._waiting:
-            return
-        packet_id, arrival = self._waiting.popleft()
-        # The head Station's wake_round is the promotion round: its
-        # protocol may first transmit the round after reaching the head.
-        self.head = Station(
-            station_id=packet_id,
-            wake_round=at_round,
-            protocol=self._factory(),
-            rng=self._rng_source(),
-        )
-        self._head_packet = packet_id
-        self._head_arrival = arrival
-
-    def _head_record(self) -> StationRecord:
-        assert self.head is not None
-        return StationRecord(
-            station_id=self._head_packet,  # type: ignore[arg-type]
-            wake_round=self._head_arrival,  # type: ignore[arg-type]
-            first_success_round=self.head.first_success_round,
-            switch_off_round=self.head.switch_off_round,
-            transmissions=self.head.transmissions,
-            listening_slots=self.head.listening_slots,
-        )
-
-    def finish_head_if_done(self, at_round: int) -> Optional[StationRecord]:
-        """Pop a switched-off head: return its record, promote the next."""
-        if self.head is None or self.head.active:
-            return None
-        record = self._head_record()
-        self.head = None
-        self._promote(at_round)
-        return record
-
-    def drain(self) -> list[StationRecord]:
-        """Records for everything unresolved at the end of the horizon:
-        the live head (state as-is) and the still-waiting packets."""
-        records = []
-        if self.head is not None:
-            records.append(self._head_record())
-            self.head = None
-        for packet_id, arrival in self._waiting:
-            records.append(
-                StationRecord(
-                    station_id=packet_id,
-                    wake_round=arrival,
-                    first_success_round=None,
-                    switch_off_round=None,
-                    transmissions=0,
-                    listening_slots=0,
-                )
-            )
-        self._waiting.clear()
-        return records

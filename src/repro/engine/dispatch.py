@@ -30,9 +30,9 @@ non-ACK feedback                 no — needs the per-round observation
                                  collision detection via its ternary
                                  symbol columns)
 ``queue_discipline="fifo"``      no — FIFO heads depend on channel
-                                 history; only the
-                                 :class:`~repro.channel.traffic.QueueSimulator`
-                                 round loop materialises it
+                                 history; only the object round loop
+                                 materialises it (a FIFO station
+                                 source of ``SlotSimulator``)
 ``faults`` with an energy        no — budgets mutate per-station
 budget                           liveness mid-protocol; oblivious
                                  noise/ack-loss faults *are*
@@ -48,7 +48,9 @@ is exactly a packet-level classic run, so its admissibility is the
 reduced spec's admissibility — oblivious arrivals + a non-adaptive
 schedule run vectorised and batch-fused, everything else falls back to
 the object engine on the reduced spec.  FIFO traffic always runs on the
-dedicated object-engine :class:`~repro.channel.traffic.QueueSimulator`.
+object engine: :class:`~repro.channel.simulator.SlotSimulator` with the
+arrival process as its adversary, which feeds the round loop one
+head-of-line packet per station queue.
 
 ``engine="auto"`` (the default) routes vectorised-admissible specs to the
 vectorised engine, compiled-admissible ones (a wider capability set:
@@ -95,7 +97,7 @@ from repro.channel.jamming import ScheduledJammer
 from repro.channel.feedback import FeedbackModel
 from repro.channel.results import RunResult
 from repro.channel.simulator import SlotSimulator
-from repro.channel.traffic import QueueSimulator, traffic_reduction
+from repro.channel.traffic import traffic_reduction
 from repro.channel.validate import validate_run
 from repro.channel.vectorized import VectorizedSimulator
 from repro.core.spec import RunSpec
@@ -120,7 +122,7 @@ __all__ = [
     "use_engine",
 ]
 
-Engine = Union[SlotSimulator, VectorizedSimulator, CompiledSimulator, QueueSimulator]
+Engine = Union[SlotSimulator, VectorizedSimulator, CompiledSimulator]
 
 #: Legal values of the ``engine`` argument (and the CLI's ``--engine``).
 ENGINE_NAMES = ("auto", "object", "vectorized", "compiled", "cross-check")
@@ -136,7 +138,7 @@ _default_engine = "auto"
 #: drift between the two fast engines.
 _FIFO_REASON = (
     "fifo queues serialise packets on channel history, which only the "
-    "QueueSimulator round loop materialises"
+    "object engine's round loop materialises"
 )
 _ADAPTIVE_ADVERSARY_REASON = (
     "adaptive adversaries react to channel history, which the batch "
@@ -306,19 +308,9 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
     """
     if engine == "auto":
         engine = select_engine(spec)
-    if spec.is_traffic_run and engine in ("object", "vectorized", "compiled"):
-        if spec.queue_discipline == "fifo":
-            if engine == "vectorized":
-                raise EngineSelectionError(
-                    "spec is not vectorised-admissible: "
-                    f"{vectorized_inadmissibility(spec)}"
-                )
-            if engine == "compiled":
-                raise EngineSelectionError(
-                    "spec is not compiled-admissible: "
-                    f"{compiled_inadmissibility(spec)}"
-                )
-            return QueueSimulator(spec)
+    if spec.is_traffic_run and spec.queue_discipline == "free" and engine in (
+        "object", "vectorized", "compiled"
+    ):
         # Free discipline: every engine runs the packet-level reduction.
         return build_simulator(traffic_reduction(spec), engine)
     if engine == "vectorized":
@@ -349,10 +341,12 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
         jammer = spec.jammer
         if jammer is None and spec.jam_rounds is not None:
             jammer = ScheduledJammer(spec.jam_rounds)
+        # A fifo traffic spec hands its arrival process over as the
+        # adversary: SlotSimulator then runs one queue per station.
         return SlotSimulator(
             spec.k,
             spec.protocol_factory,
-            spec.adversary,
+            spec.adversary if spec.arrivals is None else spec.arrivals,
             feedback=spec.feedback,
             stop=spec.stop,
             max_rounds=spec.resolve_horizon(),

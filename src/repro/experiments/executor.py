@@ -42,15 +42,16 @@ killed worker.  Three knobs, settable per executor or process-wide
 and ``--max-retries`` flags):
 
 * ``task_timeout`` — seconds after which one task *attempt* is declared
-  hung and abandoned.  The timeout is the universal failure detector for
-  the pool path: a worker killed by the OOM-killer (or ``kill -9``) simply
-  never delivers its result, which is indistinguishable from a hang; the
-  pool replaces the dead worker and the attempt is re-submitted.  Serial
-  execution cannot preempt a running task, so the timeout only applies
-  under ``jobs > 1``.
+  hung and abandoned.  Serial execution cannot preempt a running task, so
+  the timeout only applies under ``jobs > 1``.  A worker killed by the
+  OOM-killer (or ``kill -9``) needs no timeout: every task records the pid
+  of the worker that picked it up, and while the parent waits on a task it
+  checks that this worker is still alive.  A dead owner fails the attempt
+  (the pool replaces the worker and the attempt is re-submitted), so a
+  killed worker never stalls the parent.
 * ``max_retries`` — how many times a failed attempt (exception, timeout,
   or killed worker) is re-submitted before giving up.  Exhausting retries
-  re-raises the task's own exception (timeouts raise
+  re-raises the task's own exception (timeouts and killed workers raise
   :class:`TaskFailedError`).  The default ``0`` preserves the historical
   fail-fast behaviour.
 * ``retry_backoff`` — base of the exponential sleep between attempts
@@ -99,7 +100,6 @@ __all__ = [
     "resolve_batch_size",
     "use_batch_size",
     "execution_stats",
-    "reset_execution_stats",
     "parallelism_available",
 ]
 
@@ -124,6 +124,15 @@ _in_worker = False
 
 #: Task list a freshly forked pool inherits (index-addressed by workers).
 _forked_tasks: Optional[list[Callable[[], Any]]] = None
+
+#: Shared array a freshly forked pool inherits: the pid of the worker
+#: running each task (0 until a worker picks the attempt up).
+_task_owners: Optional[Any] = None
+
+#: How often the parent checks that the worker owning the awaited task is
+#: still alive, seconds.  Results are collected as soon as they arrive;
+#: this only bounds how long a killed worker goes unnoticed.
+_LIVENESS_POLL_SECONDS = 0.25
 
 #: Process-wide failure accounting across every map() in this process.
 #: The registry snapshots it around each experiment so flaky runs surface
@@ -262,12 +271,6 @@ def execution_stats() -> dict[str, int]:
     return dict(_EXEC_STATS)
 
 
-def reset_execution_stats() -> None:
-    """Zero the process-wide failure counters."""
-    for key in _EXEC_STATS:
-        _EXEC_STATS[key] = 0
-
-
 def parallelism_available() -> bool:
     """True iff multi-process execution can actually be used here."""
     return not _in_worker and "fork" in multiprocessing.get_all_start_methods()
@@ -293,6 +296,8 @@ def _run_forked_task(index: int) -> tuple[Any, float, dict[str, Any]]:
     events would be invisible to the parent's report accounting."""
     assert _forked_tasks is not None, "worker forked without a task list"
     from repro.experiments.checkpoint import current_checkpoint
+
+    _task_owners[index] = os.getpid()
 
     stats_before = dict(_EXEC_STATS)
     journal = current_checkpoint()
@@ -487,10 +492,11 @@ class RunExecutor:
         workers: int,
         on_result: Optional[ResultCallback],
     ) -> list[tuple[Any, float]]:
-        global _forked_tasks
+        global _forked_tasks, _task_owners
         context = multiprocessing.get_context("fork")
         n = len(task_list)
         _forked_tasks = task_list
+        _task_owners = multiprocessing.RawArray("q", n)
         try:
             try:
                 # The pool must fork *after* the global is set: children
@@ -505,6 +511,7 @@ class RunExecutor:
                 return self._collect(pool, task_list, on_result)
         finally:
             _forked_tasks = None
+            _task_owners = None
 
     def _collect(
         self,
@@ -522,7 +529,7 @@ class RunExecutor:
             telemetry.gauge("executor.queue_depth", n - i)
             while timed[i] is None:
                 try:
-                    result, seconds, worker_delta = pending[i].get(self.task_timeout)
+                    result, seconds, worker_delta = self._await(i, pending[i])
                 except Exception as exc:
                     timed_out = isinstance(exc, multiprocessing.TimeoutError)
                     self._note_failure(i, timed_out=timed_out)
@@ -530,12 +537,12 @@ class RunExecutor:
                         if timed_out:
                             raise TaskFailedError(
                                 f"task {i} timed out after {self.task_timeout:.6g}s "
-                                f"(attempt {attempts[i]} of {self.max_retries + 1}); "
-                                f"a killed worker is indistinguishable from a hang"
+                                f"(attempt {attempts[i]} of {self.max_retries + 1})"
                             ) from None
                         raise
                     self._note_retry(i, attempts[i])
                     attempts[i] += 1
+                    _task_owners[i] = 0
                     try:
                         # A killed worker has already been replaced by the
                         # pool; the re-submission lands on a live one.  A
@@ -558,3 +565,31 @@ class RunExecutor:
                     if on_result is not None:
                         on_result(i, result, seconds)
         return [entry for entry in timed if entry is not None]
+
+    def _await(self, index: int, pending) -> tuple[Any, float, dict[str, Any]]:
+        """Wait for one pool attempt: its result, the task's own exception,
+        :class:`multiprocessing.TimeoutError` past ``task_timeout``, or
+        :class:`TaskFailedError` once the worker running it has died (the
+        pool never re-queues a dead worker's task, so waiting longer would
+        wait forever)."""
+        deadline = (
+            None if self.task_timeout is None
+            else time.monotonic() + self.task_timeout
+        )
+        while True:
+            wait = _LIVENESS_POLL_SECONDS
+            if deadline is not None:
+                wait = min(wait, max(deadline - time.monotonic(), 0.0))
+            pending.wait(wait)
+            if pending.ready():
+                return pending.get()
+            owner = _task_owners[index]
+            if owner and owner not in {
+                p.pid for p in multiprocessing.active_children()
+            }:
+                raise TaskFailedError(
+                    f"task {index} lost: its pool worker (pid {owner}) died "
+                    f"mid-task"
+                )
+            if deadline is not None and time.monotonic() >= deadline:
+                raise multiprocessing.TimeoutError

@@ -410,13 +410,10 @@ def _apply_default_faults(base: RunSpec) -> RunSpec:
     folds it into every base it runs, so any experiment can be re-run on
     a degraded channel without changing its driver.  A spec that already
     carries its own fault model wins (the robustness experiment sets
-    per-cell models), and fifo traffic stays unfaulted (the queue
-    simulator has no fault path).
+    per-cell models).
     """
     default = current_faults()
     if default is None or base.faults is not None:
-        return base
-    if base.is_traffic_run and base.queue_discipline != "free":
         return base
     return base.replace(faults=default)
 
@@ -565,9 +562,13 @@ def worst_sample(samples: Iterable[MetricSample], metric: str = "latency_mean") 
     empirical analogue runs a pool of concrete strategies and reports the
     worst observed.
 
+    When runs were recorded but none of them defined ``metric`` (say, an
+    energy budget killed every station before any delivery, so no latency
+    exists), the worst sample is the one with the most failed runs.
+
     Raises:
-        ValueError: if ``samples`` is empty, or ``metric`` is absent (or
-            NaN) in every sample's row — silently returning an arbitrary
+        ValueError: if ``samples`` is empty, ``metric`` is not a row key,
+            or no sample recorded a run — silently returning an arbitrary
             sample would let a typo'd metric name masquerade as a result.
     """
     samples = list(samples)
@@ -582,10 +583,12 @@ def worst_sample(samples: Iterable[MetricSample], metric: str = "latency_mean") 
 
     values = [value_of(sample) for sample in samples]
     if all(value is None for value in values):
-        known = ", ".join(sorted(samples[0].row()))
+        row = samples[0].row()
+        if metric in row and any(sample.runs for sample in samples):
+            return max(samples, key=lambda sample: sample.failures)
         raise ValueError(
             f"metric {metric!r} is absent or NaN in every sample; "
-            f"row keys: {known}"
+            f"row keys: {', '.join(sorted(row))}"
         )
     index = max(
         range(len(samples)),

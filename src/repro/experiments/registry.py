@@ -12,6 +12,7 @@ and returns an :class:`~repro.experiments.harness.ExperimentReport`.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections.abc import Callable
 from typing import Optional
@@ -151,6 +152,14 @@ def run_experiment(
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
+    driver = EXPERIMENTS[experiment_id]
+    accepted = inspect.signature(driver).parameters
+    for key in overrides:
+        if key not in accepted:
+            raise ValueError(
+                f"{experiment_id} has no option {key!r}; accepted: "
+                f"{', '.join(sorted(accepted)) or '(none)'}"
+            )
     journal: Optional[CheckpointJournal] = None
     if resume_dir is not None:
         journal = CheckpointJournal.for_experiment(resume_dir, experiment_id)
@@ -169,7 +178,7 @@ def run_experiment(
                 energy_budget=energy_budget,
             )):
         with telemetry.span("experiment.run"):
-            report = EXPERIMENTS[experiment_id](**overrides)
+            report = driver(**overrides)
     report.timings["wall_s"] = time.perf_counter() - start
     if telemetry.enabled():
         telemetry.count("experiment.runs")

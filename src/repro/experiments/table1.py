@@ -16,7 +16,6 @@ scaling fit then selects the growth model, which must match the bound.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 from repro.adversary.oblivious import (
@@ -307,13 +306,3 @@ def run_table1_energy(
         ]
     )
     return ExperimentReport("table1_energy", "Table 1 energy column", rows, text)
-
-
-def theoretical_energy_note(k: int, c: int = 6) -> str:
-    """Cross-check string: Theorem 3.2's per-station expectation."""
-    return (
-        f"NonAdaptiveWithK expectation at k={k}: "
-        f"{NonAdaptiveWithK.expected_energy_per_station(k, c):.1f} tx/station "
-        f"(= c/2 per level + (c/2) log2 k at the last level); "
-        f"log2(k) = {math.log2(k):.1f}"
-    )

@@ -13,7 +13,7 @@ linear trend of the last-half backlog), and is classified **stable**
 Free-discipline traffic reduces to the classic packet-level model, so
 these sweeps ride the vectorised engine and the fused batched kernel
 wherever the protocol is a non-adaptive schedule; FIFO discipline and
-protocol factories fall back to the object engines automatically.
+protocol factories fall back to the object engine automatically.
 """
 
 from __future__ import annotations

@@ -13,14 +13,6 @@ from collections.abc import Sequence
 __all__ = ["line_chart", "render_table", "log_log_chart"]
 
 
-def _format_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.4g}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render a monospace table with right-aligned columns.
 

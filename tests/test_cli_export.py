@@ -72,6 +72,14 @@ class TestMain:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "nonsense"]) == 2
 
+    def test_unknown_override_names_key_and_accepted_ones(self, capsys, tmp_path):
+        code = main(["run", "table1_latency", "--out", str(tmp_path / "d")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'out'" in err and "table1_latency" in err
+        assert "ks" in err and "reps" in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestCsvExport:
     def test_rows_to_csv_union_of_keys(self):

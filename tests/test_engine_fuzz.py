@@ -42,6 +42,7 @@ from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.spec import RunSpec
 from repro.engine.dispatch import execute, execute_batch, vectorized_inadmissibility
+from repro.faults import AckLoss, EnergyBudget, FaultModel, SlotNoise
 
 MAX_WAKE = 25
 MAX_PATTERN = 25
@@ -245,12 +246,28 @@ def test_traffic_dispatch_engines_agree(config):
         )
 
 
+@st.composite
+def fault_models(c):
+    """An optional fault model drawing each component independently."""
+    noise = c(st.one_of(st.none(), st.floats(0.0, 0.6, allow_nan=False)))
+    ack_loss = c(st.one_of(st.none(), st.floats(0.0, 0.6, allow_nan=False)))
+    charges = c(st.one_of(st.none(), st.integers(1, 20)))
+    if noise is None and ack_loss is None and charges is None:
+        return None
+    return FaultModel(
+        noise=None if noise is None else SlotNoise(noise),
+        ack_loss=None if ack_loss is None else AckLoss(ack_loss),
+        energy_budget=None if charges is None else EnergyBudget(charges),
+    )
+
+
 @settings(max_examples=40, deadline=None)
-@given(traffic_configs())
-def test_fifo_matches_free_on_single_packet_queues(config):
+@given(traffic_configs(), fault_models())
+def test_fifo_matches_free_on_single_packet_queues(config, faults):
     """With at most one packet per station queue, FIFO never serialises
-    anything, so the QueueSimulator must match the free reduction record
-    for record (station ids are packet ids in both views)."""
+    anything, so the FIFO station source must match the free reduction
+    record for record (station ids are packet ids in both views) — under
+    the same noise, ack loss and per-packet energy budget as well."""
     stations, rounds, origins, pattern, direct, ack, stop, max_rounds = config
     seen: set[int] = set()
     kept = [
@@ -264,8 +281,8 @@ def test_fifo_matches_free_on_single_packet_queues(config):
         [o for _, o in kept],
         pattern, direct, ack, stop, max_rounds,
     )
-    fifo = execute(traffic_spec(config, discipline="fifo"))
-    free = execute(traffic_spec(config), "object")
+    fifo = execute(traffic_spec(config, discipline="fifo").replace(faults=faults))
+    free = execute(traffic_spec(config).replace(faults=faults), "object")
     assert fifo.completed == free.completed
     assert fifo.rounds_executed == free.rounds_executed
     assert fifo.success_count == free.success_count
@@ -567,7 +584,6 @@ from repro.engine.dispatch import (  # noqa: E402
     _FAULT_ENERGY_REASON,
     EngineSelectionError,
 )
-from repro.faults import AckLoss, EnergyBudget, FaultModel, SlotNoise  # noqa: E402
 
 
 @st.composite

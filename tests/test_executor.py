@@ -6,13 +6,18 @@ pre-assigned task, so recovery never changes results."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.suniform import SUniform
@@ -365,6 +370,68 @@ class TestFaultInjection:
         assert results == ["survived the kill", 3]
         assert executor.last_failures >= 1
         assert executor.last_retry_counts[0] >= 1
+
+    @needs_fork
+    def test_killed_worker_without_timeout_does_not_stall(self, tmp_path):
+        # No task_timeout: only the worker-liveness check can notice the
+        # lost task.  A regression hangs forever, so the scenario runs in
+        # a child interpreter under a wall-clock cap.
+        script = textwrap.dedent(
+            """
+            import json, os, signal, sys
+            from repro.experiments.executor import (
+                RunExecutor, TaskFailedError, in_worker,
+            )
+
+            flag = sys.argv[1]
+
+            def kills_own_worker_once():
+                if in_worker() and not os.path.exists(flag):
+                    open(flag, "w").close()
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return "survived the kill"
+
+            retried = RunExecutor(2, max_retries=1, retry_backoff=0.0)
+            results = retried.map([kills_own_worker_once, lambda: 3])
+            os.remove(flag)
+            try:
+                RunExecutor(2, retry_backoff=0.0).map(
+                    [lambda: 1, kills_own_worker_once]
+                )
+                error = None
+            except TaskFailedError as exc:
+                error = str(exc)
+            print(json.dumps({
+                "results": results,
+                "retries": retried.last_retry_counts,
+                "timeouts": retried.last_timeouts,
+                "error": error,
+            }))
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "killed-once")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # Take the pool workers down with the stalled parent.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the executor stalled on a killed pool worker")
+        assert child.returncode == 0, err
+        report = json.loads(out)
+        assert report["results"] == ["survived the kill", 3]
+        assert report["retries"] == [1, 0]
+        assert report["timeouts"] == 0
+        assert report["error"] is not None and "task 1" in report["error"]
 
     @needs_fork
     def test_results_deterministic_under_injected_failures(self, tmp_path):

@@ -26,6 +26,7 @@ from repro.engine.dispatch import (
     compiled_inadmissibility,
     execute,
     execute_batch,
+    select_engine,
     vectorized_inadmissibility,
 )
 from repro.engine.plan import use_tiling
@@ -138,16 +139,26 @@ class TestModelValidation:
                 faults="noise",
             )
 
-    def test_fifo_traffic_rejects_faults(self):
-        with pytest.raises(ValueError, match="fifo"):
-            RunSpec(
-                k=2,
-                protocol=DeterministicSchedule([True]),
-                arrivals=FixedArrivals([1, 2], origins=[0, 1]),
-                queue_discipline="fifo",
-                max_rounds=50,
-                faults=FaultModel(noise=SlotNoise(0.1)),
-            )
+    def test_fifo_traffic_accepts_faults(self):
+        # FIFO traffic runs on the shared object round loop, so it takes
+        # every fault component; the energy budget is per packet (each
+        # head-of-line packet is a fresh contender).
+        spec = RunSpec(
+            k=2,
+            protocol=DeterministicSchedule([True] * 8),
+            arrivals=FixedArrivals([0, 0, 0, 0], origins=[0, 0, 1, 1]),
+            queue_discipline="fifo",
+            max_rounds=50,
+            seed=3,
+            faults=FaultModel(energy_budget=EnergyBudget(2)),
+        )
+        assert select_engine(spec) == "object"
+        records = execute(spec).records
+        # The two heads collide until both are exhausted at round 2; the
+        # next heads, promoted that round, collide at 3-4 and die at 4.
+        assert [r.switch_off_round for r in records] == [2, 4, 2, 4]
+        assert [r.transmissions for r in records] == [2, 2, 2, 2]
+        assert all(r.first_success_round is None for r in records)
 
 
 # -------------------------------------------------------------- fault plan
@@ -452,7 +463,7 @@ class TestDefaultFaults:
             assert _apply_default_faults(own).faults is own.faults
         assert _apply_default_faults(clean).faults is None
 
-    def test_apply_default_skips_fifo_traffic(self):
+    def test_apply_default_reaches_fifo_traffic(self):
         fifo = RunSpec(
             k=2,
             protocol=DeterministicSchedule([True]),
@@ -460,8 +471,9 @@ class TestDefaultFaults:
             queue_discipline="fifo",
             max_rounds=50,
         )
-        with use_faults(FaultModel(noise=SlotNoise(0.1))):
-            assert _apply_default_faults(fifo).faults is None
+        model = FaultModel(noise=SlotNoise(0.1))
+        with use_faults(model):
+            assert _apply_default_faults(fifo).faults is model
 
     def test_default_reaches_executed_runs(self):
         spec = acceptance_spec().replace(faults=None)

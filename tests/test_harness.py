@@ -272,6 +272,17 @@ class TestWorstSample:
         with pytest.raises(ValueError, match="latency_mean"):
             worst_sample([a, b], metric="latency_mean")
 
+    def test_all_nan_with_runs_returns_most_failed_sample(self):
+        # Runs were recorded but none delivered (an energy budget can kill
+        # every station first): latency is NaN everywhere, and the worst
+        # cell is the one with the most failed runs.
+        from repro.analysis.metrics import MetricSample
+
+        a = MetricSample("a", k=1, failures=1, runs=2)
+        b = MetricSample("b", k=1, failures=2, runs=2)
+        c = MetricSample("c", k=1)
+        assert worst_sample([a, b, c], metric="latency_mean") is b
+
     def test_raises_on_unknown_metric_key(self):
         from repro.analysis.metrics import MetricSample
 

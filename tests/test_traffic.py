@@ -13,6 +13,8 @@ experiment's worker/batch/resume invariance.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tempfile
 
 import numpy as np
@@ -30,9 +32,10 @@ from repro.analysis.traffic import (
     packet_records,
     traffic_stats,
 )
+from repro.baselines.backoff import BinaryExponentialBackoff
 from repro.channel import (
     ArrivalWakeSchedule,
-    QueueSimulator,
+    RandomJammer,
     SlotSimulator,
     StopCondition,
     VectorizedSimulator,
@@ -41,6 +44,8 @@ from repro.channel import (
     validate_run,
 )
 from repro.core.protocol import ProbabilitySchedule
+from repro.core.protocols import AdaptiveNoK
+from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
 from repro.core.spec import RunSpec, arrival_token
 from repro.engine import (
@@ -51,6 +56,7 @@ from repro.engine import (
     select_engine,
     vectorized_inadmissibility,
 )
+from repro.experiments.checkpoint import result_to_payload
 from repro.experiments.registry import run_experiment
 
 
@@ -242,9 +248,10 @@ class TestTrafficDispatch:
         reason = vectorized_inadmissibility(spec)
         assert reason is not None and "fifo" in reason
         assert select_engine(spec) == "object"
-        assert isinstance(build_simulator(spec), QueueSimulator)
-        with pytest.raises(EngineSelectionError):
-            build_simulator(spec, "vectorized")
+        assert isinstance(build_simulator(spec), SlotSimulator)
+        for forced in ("vectorized", "compiled"):
+            with pytest.raises(EngineSelectionError, match="fifo"):
+                build_simulator(spec, forced)
 
     def test_factory_traffic_falls_back_to_object(self):
         from repro.baselines.backoff import BinaryExponentialBackoff
@@ -338,16 +345,6 @@ class TestQueueSimulator:
         defaults.update(kw)
         return RunSpec(**defaults)
 
-    def test_rejects_non_fifo_spec(self):
-        spec = self.fifo_spec(FixedArrivals([0]))
-        with pytest.raises(ValueError, match="fifo"):
-            QueueSimulator(spec.replace(queue_discipline="free"))
-        classic = RunSpec(
-            k=2, protocol=AlwaysTransmit(), adversary=FixedSchedule([0, 0])
-        )
-        with pytest.raises(ValueError, match="traffic"):
-            QueueSimulator(classic)
-
     def test_fifo_equals_free_with_single_packet_queues(self):
         # One packet per station: FIFO never queues, so it is the free
         # reduction exactly (deterministic dynamics, per-record equality).
@@ -435,6 +432,72 @@ class TestQueueSimulator:
             (r.station_id, r.first_success_round, r.transmissions)
             for r in two.records
         ]
+
+    def test_fifo_golden_digest(self):
+        # Pins multi-packet FIFO queueing per seed: ~100 runs over queue
+        # counts, arrival loads, schedule and adaptive protocols, no /
+        # oblivious / random jamming and every stop rule, plus one traced
+        # run whose round log is hashed too.  The digest was recorded
+        # when FIFO traffic still ran on its own round loop; any drift in
+        # arrival, promotion, RNG fan-out or record order changes it.
+        payloads = []
+        arrivals = (
+            PoissonArrivals(rate=0.3),
+            PoissonArrivals(rate=0.8),
+            FixedArrivals([0, 0, 0, 1, 3, 3, 7, 7, 7, 7, 20]),
+        )
+        protocols = (
+            SublinearDecrease(),
+            NonAdaptiveWithK(4),
+            BinaryExponentialBackoff,
+            AdaptiveNoK,
+        )
+        stops = sorted(StopCondition, key=lambda s: s.value)
+        seed = 0
+        for arrival in arrivals:
+            for k in (1, 2, 4):
+                for protocol in protocols:
+                    for jam in ("none", "rounds", "random"):
+                        seed += 1
+                        spec = RunSpec(
+                            k=k,
+                            protocol=protocol,
+                            arrivals=arrival,
+                            queue_discipline="fifo",
+                            stop=stops[seed % len(stops)],
+                            max_rounds=90,
+                            seed=seed,
+                            jam_rounds=(
+                                (2, 3, 5, 8, 13, 21) if jam == "rounds" else None
+                            ),
+                            jammer=RandomJammer(0.2) if jam == "random" else None,
+                        )
+                        payloads.append(result_to_payload(execute(spec)))
+        traced = execute(
+            RunSpec(
+                k=3,
+                protocol=AdaptiveNoK,
+                arrivals=PoissonArrivals(rate=0.5),
+                queue_discipline="fifo",
+                max_rounds=120,
+                seed=999,
+                record_trace=True,
+                jammer=RandomJammer(0.1),
+            )
+        )
+        payloads.append(result_to_payload(traced))
+        payloads.append(
+            [
+                [e.round_index, e.outcome.name, e.transmitter_count, e.winner,
+                 e.jammed]
+                for e in traced.trace
+            ]
+        )
+        assert max(len(p["records"]) for p in payloads[:-1]) > 4 * 4
+        digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+        assert digest == (
+            "7da145df80845f0346f705f94de93664f70dd6e6d9aec74d2c991c5038faeb09"
+        )
 
 
 class TestTrafficAnalysis:
