@@ -578,9 +578,8 @@ def _run_tile(
         draw_bytes = flat.nbytes + local.nbytes + counts_all.nbytes
         del flat, local, counts_all
     # One sort both orders the sweep and puts duplicate (station, round)
-    # samples side by side for the dedup mask (the direct path
-    # pre-dedupes; the mask is then a no-op).  Past-horizon events are
-    # dropped by the same mask.
+    # samples side by side for the dedup mask, the only dedup on either
+    # sampling path.  Past-horizon events are dropped by the same mask.
     if phase:
         phase.lap("batched.key_build")
     key.sort()

@@ -42,7 +42,6 @@ __all__ = [
     "ScheduleTables",
     "hazard_table",
     "check_prob_table",
-    "dedup_station_events",
     "sample_station_events",
 ]
 
@@ -129,25 +128,6 @@ def check_prob_table(
             )
 
 
-def dedup_station_events(
-    stations: np.ndarray, rounds: np.ndarray, max_round: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unique ``(station, round)`` pairs, sorted by station then round.
-
-    One composite-key ``np.unique`` replaces the historical per-station
-    ``np.unique`` loop; the output order (station-major, rounds ascending
-    within a station) is identical.  ``max_round`` bounds the round values
-    so the composite key is collision-free.
-    """
-    if rounds.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    stride = np.int64(max_round) + 1
-    key = np.unique(stations.astype(np.int64) * stride + rounds)
-    out_stations = key // stride
-    return out_stations, key - out_stations * stride
-
-
 def sample_station_events(
     rng: np.random.Generator,
     schedule: ProbabilitySchedule,
@@ -158,30 +138,32 @@ def sample_station_events(
     """Sample the flat ``(stations, local_rounds)`` event stream for ``k``
     stations (ignoring switch-off, which the kernel's resolution applies).
 
-    Schedules with dependent rounds provide their own sampler via
-    :meth:`ProbabilitySchedule.sample_rounds`; independent-Bernoulli
-    schedules go through the exact Poisson-thinning path over the first
-    ``max_local`` rounds of ``tables.hazard``, which is only read then.  Both the RNG
-    draw order and the returned event order match the historical
-    per-station loop exactly, so results are byte-identical per seed; the
-    batched kernel (:mod:`repro.channel.batched`) calls this helper with
-    one per-repetition generator each.
+    Schedules with dependent rounds draw the repetition themselves via
+    :meth:`ProbabilitySchedule.sample_rounds`, range-checked here (a
+    station id past ``k`` would land in another repetition's key field);
+    independent-Bernoulli schedules go through exact Poisson thinning over
+    the first ``max_local`` rounds of ``tables.hazard``.  Events come in
+    any order and may repeat: the batched kernel, which calls this once
+    per repetition generator, sorts them and drops duplicates.
     """
-    probe = schedule.sample_rounds(rng, max_local)
-    if probe is not None:
-        parts = [np.asarray(probe, dtype=np.int64)]
-        for _ in range(k - 1):
-            drawn = schedule.sample_rounds(rng, max_local)
-            parts.append(np.asarray(drawn, dtype=np.int64))
-        rounds = np.concatenate(parts)
-        if rounds.size and (rounds.min() < 1 or rounds.max() > max_local):
+    drawn = schedule.sample_rounds(rng, k, max_local)
+    if drawn is not None:
+        stations, rounds = (np.asarray(a, dtype=np.int64) for a in drawn)
+        if stations.shape != rounds.shape or stations.ndim != 1:
             raise ValueError(
-                f"{schedule.name}: sample_rounds produced local "
-                f"rounds outside [1, {max_local}]"
+                f"{schedule.name}: sample_rounds returned stations of shape "
+                f"{stations.shape} but local_rounds of shape {rounds.shape}"
             )
-        lengths = np.fromiter((len(part) for part in parts), np.int64, count=k)
-        stations = np.repeat(np.arange(k, dtype=np.int64), lengths)
-        return dedup_station_events(stations, rounds, max_local)
+        for field, values, low, high in (
+            ("stations", stations, 0, k - 1),
+            ("local_rounds", rounds, 1, max_local),
+        ):
+            if values.size and (values.min() < low or values.max() > high):
+                raise ValueError(
+                    f"{schedule.name}: sample_rounds produced {field} "
+                    f"outside [{low}, {high}]"
+                )
+        return stations, rounds
     cumulative_hazard = tables.hazard[:max_local]
     total = float(cumulative_hazard[-1]) if cumulative_hazard.size else 0.0
     if total <= 0.0:
@@ -194,7 +176,7 @@ def sample_station_events(
     # round (local rounds start at 1).
     rounds = np.searchsorted(cumulative_hazard, flat, side="right") + 1
     stations = np.repeat(np.arange(k, dtype=np.int64), counts)
-    return dedup_station_events(stations, rounds.astype(np.int64), max_local)
+    return stations, rounds.astype(np.int64)
 
 
 class VectorizedSimulator:

@@ -151,18 +151,19 @@ class ProbabilitySchedule(abc.ABC):
         return float(self.probabilities(up_to).sum())
 
     def sample_rounds(
-        self, rng: np.random.Generator, max_local: int
-    ) -> Optional[np.ndarray]:
-        """Directly sample the station's transmission rounds, or None.
+        self, rng: np.random.Generator, k: int, max_local: int
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Directly sample one repetition's ``(stations, local_rounds)``, or None.
 
         The paper's non-adaptive model does *not* require independence of
         transmissions across rounds (Section 2.1's footnote): a schedule is
         any random distribution over round subsets whose marginals are
         ``p(i)``.  Schedules with dependent rounds (e.g. one-per-window
-        sawtooth patterns) override this to return the sorted local rounds
-        (1-based) of one sampled execution; returning None (the default)
-        tells the vectorised engine to treat rounds as independent
-        Bernoulli and use exact Poisson thinning.
+        sawtooth patterns) override this to draw all ``k`` stations at
+        once: equal-length integer arrays, ``0 <= station < k`` and
+        ``1 <= round <= max_local``, in any order, repeats allowed (the
+        kernel sorts and dedups).  None (the default) tells the vectorised
+        engine to use exact Poisson thinning over independent rounds.
         """
         return None
 

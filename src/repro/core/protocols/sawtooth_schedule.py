@@ -12,15 +12,15 @@ covers.
 
 This class expresses that view: marginal probabilities ``p(i) = 1/W(i)``
 (``W(i)`` = size of the window containing local round ``i``) for the
-sigma-trace machinery, plus a direct :meth:`sample_rounds` sampler so the
-vectorised engine can run sawtooth sweeps at scales the object engine
-cannot touch.  ``tests/test_sawtooth_schedule.py`` cross-validates it
-against ``SUniform``.
+sigma-trace machinery, plus a direct :meth:`sample_rounds` sampler that
+draws a whole repetition — every station's slot in every window — with a
+single ``rng.random((k, W))`` call, so the vectorised engine runs sawtooth
+sweeps at scales the object engine cannot touch without paying per
+station.  ``tests/test_sawtooth_schedule.py`` cross-validates it against
+``SUniform``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -90,17 +90,21 @@ class SawtoothSchedule(ProbabilitySchedule):
         return None
 
     def sample_rounds(
-        self, rng: np.random.Generator, max_local: int
-    ) -> Optional[np.ndarray]:
-        """One uniform slot per window intersecting ``[1, max_local]``."""
-        if max_local < 1:
-            return np.empty(0, dtype=np.int64)
+        self, rng: np.random.Generator, k: int, max_local: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One uniform slot per window intersecting ``[1, max_local]``, for
+        each of ``k`` stations (station-major: row ``s`` of the draw is
+        station ``s``, read from the stream as ``k`` per-station draws)."""
         self._extend(max_local)
-        keep = self._starts <= max_local
-        starts = self._starts[keep]
-        widths = (self._ends[keep] - starts + 1).astype(np.int64)
+        n = int(np.searchsorted(self._starts, max_local, side="right"))
+        starts = self._starts[:n]
+        widths = self._ends[:n] - starts + 1
         # Draw within the *full* window (preserving the exact 1/W marginal)
         # and drop draws landing past the horizon.
-        offsets = (rng.random(len(starts)) * widths).astype(np.int64)
-        rounds = starts + np.minimum(offsets, widths - 1)
-        return rounds[rounds <= max_local]
+        draws = rng.random((k, n))
+        draws *= widths
+        rounds = draws.astype(np.int64)
+        np.minimum(rounds, widths - 1, out=rounds)
+        rounds += starts
+        keep = rounds <= max_local
+        return np.nonzero(keep)[0], rounds[keep]

@@ -154,12 +154,19 @@ def run_experiment(
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
     driver = EXPERIMENTS[experiment_id]
     accepted = inspect.signature(driver).parameters
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in accepted:
             raise ValueError(
                 f"{experiment_id} has no option {key!r}; accepted: "
                 f"{', '.join(sorted(accepted)) or '(none)'}"
             )
+        # A one-value sequence option (CLI ``--ks 8``) arrives as a scalar.
+        if isinstance(accepted[key].default, tuple) and not isinstance(
+            value, (tuple, list)
+        ):
+            overrides[key] = (value,)
+    if overrides.get("reps", 1) < 1:
+        raise ValueError(f"{experiment_id}: reps must be >= 1")
     journal: Optional[CheckpointJournal] = None
     if resume_dir is not None:
         journal = CheckpointJournal.for_experiment(resume_dir, experiment_id)

@@ -78,7 +78,11 @@ def run_wakeup(
         worst_by_k.append(worst_sample(samples, metric="first_success_mean"))
 
     worst_values = [s.row()["first_success_mean"] for s in worst_by_k]
-    fits = fit_all(list(ks), worst_values, models=("k", "k log k", "k log^2 k"))
+    fits = (  # a single k (CLI ``--ks 8``) has nothing to fit
+        fit_all(list(ks), worst_values, models=("k", "k log k", "k log^2 k"))
+        if len(ks) > 1
+        else None
+    )
     table = render_table(
         ["k", "adversary", "mean wake-up rounds", "failures"],
         [[r["k"], r["adversary"], r["wakeup_mean"], r["failures"]] for r in rows],
@@ -98,7 +102,9 @@ def run_wakeup(
             ratio_table,
             "",
             f"best fit: ~ {fits[0].constant:.3g} * {fits[0].model}"
-            f" (rel. RMSE {fits[0].relative_rmse:.3f}); paper: O(k)",
+            f" (rel. RMSE {fits[0].relative_rmse:.3f}); paper: O(k)"
+            if fits
+            else "best fit: needs two or more ks; paper: O(k)",
         ]
     )
     return ExperimentReport("thm51_wakeup", "Theorem 5.1 wake-up", rows, text)

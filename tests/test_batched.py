@@ -69,7 +69,8 @@ def sequential_oracle(spec: RunSpec) -> RunResult:
 
     The draws are the kernel's (the same ``_rep_generators`` streams and
     ``sample_station_events`` sampler, on a table computed here rather
-    than fetched from the cache); resolution is a plain sweep over the
+    than fetched from the cache, deduplicated here rather than by the
+    kernel's post-sort mask); resolution is a plain sweep over the
     rounds that carry a transmission.  A round with one live attempt is
     a success unless jammed or faulted; under ack semantics the winner
     stops transmitting.  The sweep stops once the stop condition can be
@@ -89,6 +90,10 @@ def sequential_oracle(spec: RunSpec) -> RunResult:
         station_rng, schedule, k,
         ScheduleTables(schedule.probabilities(max_local)), max_local,
     )
+    # The sampler may repeat a (station, round) sample; the kernel drops
+    # repeats with its post-sort mask, the oracle with its own unique.
+    key = np.unique(stations * (max_local + 1) + local)
+    stations, local = key // (max_local + 1), key % (max_local + 1)
     rounds = local + wake[stations]
     order = np.argsort(rounds, kind="stable")
     stations, rounds = stations[order], rounds[order]
@@ -203,6 +208,45 @@ def test_batched_byte_identical_to_sequential(config):
     and every stop condition."""
     spec, seeds = config
     assert_byte_identical(spec, seeds)
+
+
+class DoubledSawtooth(SawtoothSchedule):
+    """The sawtooth's draws, every event emitted twice and out of order."""
+
+    def sample_rounds(self, rng, k, max_local):
+        stations, rounds = super().sample_rounds(rng, k, max_local)
+        return (
+            np.concatenate([stations[::-1], stations]),
+            np.concatenate([rounds[::-1], rounds]),
+        )
+
+
+@pytest.mark.parametrize("k", [1, 5, 64])
+@pytest.mark.parametrize(
+    "ack, stop",
+    [
+        (True, StopCondition.ALL_SWITCHED_OFF),
+        (False, StopCondition.ALL_SUCCEEDED),
+        (True, StopCondition.FIRST_SUCCESS),
+    ],
+)
+def test_duplicate_direct_events_are_dropped_by_the_kernel(k, ack, stop):
+    """The kernel's post-sort mask is the only dedup: a direct sampler that
+    repeats every event, in any order, gives the bytes of its twin."""
+    spec = RunSpec(
+        k=k,
+        protocol=SawtoothSchedule(),
+        adversary=UniformRandomSchedule(),
+        switch_off_on_ack=ack,
+        stop=stop,
+        max_rounds=8 * k + 20,
+        jam_rounds=(3, 7, 11),
+    )
+    seeds = list(range(40, 46))
+    doubled = run_batch(spec.replace(protocol=DoubledSawtooth()), seeds=seeds)
+    assert [canonical(r) for r in doubled] == [
+        canonical(r) for r in run_batch(spec, seeds=seeds)
+    ]
 
 
 def test_batched_matches_seed_stride_layout():

@@ -80,6 +80,26 @@ class TestMain:
         assert "ks" in err and "reps" in err
         assert not (tmp_path / "d").exists()
 
+    def test_one_value_sequence_override_is_a_one_tuple(self, capsys):
+        # "8" coerces to an int; the driver's tuple default makes it (8,).
+        assert main(["run", "thm51_wakeup", "--ks", "8", "--reps", "1"]) == 0
+        assert "needs two or more ks" in capsys.readouterr().out
+        code = main(
+            ["run", "thm52_suniform", "--ks", "8,16", "--large-ks", "64",
+             "--reps", "1"]
+        )
+        assert code == 0
+        assert "64" in capsys.readouterr().out
+
+    def test_zero_reps_rejected_before_the_journal(self, capsys, tmp_path):
+        journal = tmp_path / "j"
+        code = main(
+            ["run", "thm51_wakeup", "--reps", "0", "--resume", str(journal)]
+        )
+        assert code == 2
+        assert "reps must be >= 1" in capsys.readouterr().err
+        assert not journal.exists()
+
 
 class TestCsvExport:
     def test_rows_to_csv_union_of_keys(self):

@@ -73,7 +73,7 @@ class DeterministicSchedule(ProbabilitySchedule):
     def horizon(self) -> int:
         return len(self.pattern)
 
-    def sample_rounds(self, rng, max_local):
+    def sample_rounds(self, rng, k, max_local):
         if not self.direct:
             return None
         rounds = [
@@ -81,7 +81,8 @@ class DeterministicSchedule(ProbabilitySchedule):
             for i in range(1, min(len(self.pattern), max_local) + 1)
             if self.pattern[i - 1]
         ]
-        return np.asarray(rounds, dtype=np.int64)
+        stations = np.repeat(np.arange(k, dtype=np.int64), len(rounds))
+        return stations, np.tile(np.asarray(rounds, dtype=np.int64), k)
 
 
 class FixedJammer(Jammer):
